@@ -128,14 +128,7 @@ def cmd_split_check(args) -> int:
         if args.degree is not None:
             raise ValueError("--degree only applies to --samples")
         selection = Exhaustive(args.max_degree)
-    report = compare_split_types(
-        pair.f,
-        pair.g,
-        selection,
-        seed=args.seed,
-        jobs=args.jobs,
-        pair_desc=pair.description,
-    )
+    report = compare_split_types(pair.f, pair.g, selection, seed=args.seed, jobs=args.jobs)
     print(report.render())
     return 0 if report.overall == "consistent" else 1
 
@@ -222,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument(
         "--degree", type=int, help="degree of sampled primes (with --samples)"
     )
-    sc.add_argument("--seed", type=int, default=0)
+    sc.add_argument("--seed", type=int, default=0, help="seed of the --samples draw")
     sc.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sc.set_defaults(func=cmd_split_check)
 

@@ -10,7 +10,8 @@ in tau (twisted mode).  One grammar serves all modes:
     atom   := nat | symbol | "(" expr ")" | "-" atom
 
 Whitespace is ignored, "*" is mandatory (no implicit multiplication), and
-exponents are literal non-negative integers.  In twisted mode each term
+exponents are literal non-negative integers.  Parentheses and unary minus
+nest at most MAX_NESTING levels deep.  In twisted mode each term
 must have the shape coefficient * tau^i with the tau power as the trailing
 factor; anything that would need the commutation rule to normalize, such
 as "tau*T" or "(tau + T)*T", is rejected instead of silently rewritten.
@@ -18,6 +19,8 @@ as "tau*T" or "(tau + T)*T", is rejected instead of silently rewritten.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Sequence
 
 from .fields import FieldElement, FiniteField, prime_field
@@ -25,6 +28,7 @@ from .poly import Poly
 from .twisted import TwistedPoly, YPoly
 
 _SYMBOLS = ("T", "y", "tau", "x")
+MAX_NESTING = 100
 _MODE_SYMBOLS = {
     "t_poly": ("T",),
     "y_poly": ("T", "y"),
@@ -79,13 +83,16 @@ def _tokenize(text: str):
 class _Parser:
     """Recursive descent over the token stream, producing a plain AST.
 
-    Nodes are tuples (kind, position, *payload) with kinds nat, sym, add,
-    sub, mul, pow, neg.  Parentheses only group; they leave no node.
+    Nodes are tuples (kind, position, *payload) with kinds nat, sym, sum,
+    prod, pow, neg.  A sum or prod holds all its operands (a subtracted term
+    as a neg), so a long flat expression stays one level deep.  Parentheses
+    only group; they leave no node.
     """
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -103,20 +110,19 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        terms = [self.term()]
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.next()
             rhs = self.term()
-            node = ("add" if op == "+" else "sub", pos, node, rhs)
-        return node
+            terms.append(rhs if op == "+" else ("neg", pos, rhs))
+        return terms[0] if len(terms) == 1 else ("sum", pos, tuple(terms))
 
     def term(self):
-        node = self.factor()
+        factors = [self.factor()]
         while self.peek()[0] == "*":
             _, _, pos = self.next()
-            rhs = self.factor()
-            node = ("mul", pos, node, rhs)
-        return node
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else ("prod", pos, tuple(factors))
 
     def factor(self):
         node = self.atom()
@@ -136,26 +142,33 @@ class _Parser:
         if kind == "sym":
             return ("sym", pos, value)
         if kind == "-":
-            return ("neg", pos, self.atom())
+            return ("neg", pos, self.nested(self.atom, pos))
         if kind == "(":
-            node = self.expr()
+            node = self.nested(self.expr, pos)
             k2, _, p2 = self.next()
             if k2 != ")":
                 raise ParseError("expected ')'", p2)
             return node
         raise ParseError(f"expected a value, found '{value or 'end of input'}'", pos)
 
+    def nested(self, rule, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        node = rule()
+        self.depth -= 1
+        return node
+
 
 def _contains_tau(node) -> bool:
-    if node[0] == "sym":
+    kind = node[0]
+    if kind == "sym":
         return node[2] == "tau"
-    if node[0] in ("nat",):
+    if kind == "nat":
         return False
-    if node[0] == "pow":
-        return _contains_tau(node[2])
-    if node[0] == "neg":
-        return _contains_tau(node[2])
-    return _contains_tau(node[2]) or _contains_tau(node[3])
+    if kind in ("sum", "prod"):
+        return any(map(_contains_tau, node[2]))
+    return _contains_tau(node[2])  # pow, neg
 
 
 def _eval_commutative(node, consts, env, mode):
@@ -167,18 +180,9 @@ def _eval_commutative(node, consts, env, mode):
         if name not in env:
             raise ParseError(f"symbol '{name}' is not allowed in {mode} mode", node[1])
         return env[name]
-    if kind == "add":
-        return _eval_commutative(node[2], consts, env, mode) + _eval_commutative(
-            node[3], consts, env, mode
-        )
-    if kind == "sub":
-        return _eval_commutative(node[2], consts, env, mode) - _eval_commutative(
-            node[3], consts, env, mode
-        )
-    if kind == "mul":
-        return _eval_commutative(node[2], consts, env, mode) * _eval_commutative(
-            node[3], consts, env, mode
-        )
+    if kind in ("sum", "prod"):
+        vals = (_eval_commutative(t, consts, env, mode) for t in node[2])
+        return functools.reduce(operator.add if kind == "sum" else operator.mul, vals)
     if kind == "pow":
         return _eval_commutative(node[2], consts, env, mode) ** node[3]
     if kind == "neg":
@@ -188,12 +192,9 @@ def _eval_commutative(node, consts, env, mode):
 
 def _flatten_sum(node, sign, out):
     kind = node[0]
-    if kind == "add":
-        _flatten_sum(node[2], sign, out)
-        _flatten_sum(node[3], sign, out)
-    elif kind == "sub":
-        _flatten_sum(node[2], sign, out)
-        _flatten_sum(node[3], -sign, out)
+    if kind == "sum":
+        for t in node[2]:
+            _flatten_sum(t, sign, out)
     elif kind == "neg":
         _flatten_sum(node[2], -sign, out)
     else:
@@ -201,9 +202,9 @@ def _flatten_sum(node, sign, out):
 
 
 def _flatten_mul(node, out):
-    if node[0] == "mul":
-        _flatten_mul(node[2], out)
-        _flatten_mul(node[3], out)
+    if node[0] == "prod":
+        for fct in node[2]:
+            _flatten_mul(fct, out)
     else:
         out.append(node)
 

@@ -5,19 +5,23 @@ into the residue field F_q[T]/(P); the multiset of factor degrees of the
 reduction is the splitting type at P.  Primes where the reduction drops
 degree or acquires a repeated factor are classified Bad and excluded from
 comparison, everything else is Good and contributes an equal/unequal row.
+
+A Good reduction is squarefree, so its splitting type follows from
+distinct-degree factorization alone; no factor is ever split further and
+nothing on this path is randomized.
 """
 
 from __future__ import annotations
 
-import hashlib
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .exprs import render_tpoly
 from .fields import FiniteField, extension_field
-from .poly import Poly, factor, is_irreducible, monic_irreducibles
+from .poly import Poly, _distinct_degree, is_irreducible, monic_irreducibles, poly_gcd
 from .twisted import YPoly
 
 
@@ -99,61 +103,62 @@ def _check_prime(P: Poly):
         raise ValueError("P must be irreducible")
 
 
+def _residue_field(base: FiniteField, P: Poly) -> FiniteField:
+    """F_q[T]/(P) for a prime P over the prime field base."""
+    if base.m != 1:
+        raise ValueError("reduction is implemented over prime base fields only")
+    if P.field is not base:
+        raise ValueError("P must live over the same base field as f")
+    if P.degree == 1:
+        return base
+    return extension_field(base.p, modulus=[c.coeffs[0] for c in P.coeffs])
+
+
+def _reduce(f: YPoly, P: Poly, res: FiniteField) -> Poly:
+    return Poly(res, [res.from_coeffs([e.coeffs[0] for e in (c % P).coeffs]) for c in f.coeffs])
+
+
+def _classify(f: YPoly, P: Poly, res: FiniteField) -> SideResult:
+    """Bad reason or split type of f at an already validated prime P."""
+    if f.is_zero:
+        raise ValueError("cannot take the splitting type of the zero polynomial")
+    r = _reduce(f, P, res)
+    if r.degree < f.degree:
+        return SideResult("leading_coeff_vanishes", None)
+    if r.degree < 1:
+        raise ValueError("cannot take the splitting type of a constant polynomial")
+    dr = r.derivative()
+    if dr.is_zero or poly_gcd(r, dr).degree > 0:
+        return SideResult("repeated_factor", None)
+    degrees = [d for d, g in _distinct_degree(r.monic()) for _ in range(g.degree // d)]
+    return SideResult(None, SplitType(tuple(degrees)))
+
+
 def reduce_mod_prime(f: YPoly, P: Poly) -> Poly:
     """Map each coefficient of f into F_q[T]/(P) and return the image of f.
 
     The result is a univariate polynomial over the residue field; its degree
     drops when the leading coefficient of f lies in (P).
     """
-    base = f.field
-    if base.m != 1:
-        raise ValueError("reduction is implemented over prime base fields only")
-    if P.field is not base:
-        raise ValueError("P must live over the same base field as f")
     _check_prime(P)
-    if P.degree == 1:
-        res = base
-        elems = [(c % P).coeff(0) for c in f.coeffs]
-    else:
-        res = extension_field(base.p, modulus=[c.coeffs[0] for c in P.coeffs])
-        elems = [
-            res.from_coeffs([e.coeffs[0] for e in (c % P).coeffs]) for c in f.coeffs
-        ]
-    return Poly(res, elems)
+    return _reduce(f, P, _residue_field(f.field, P))
 
 
-def split_type(f: YPoly, P: Poly, seed: int = 0) -> SideResult:
+def split_type(f: YPoly, P: Poly) -> SideResult:
     """Classify one side at one prime: Bad reason or sorted degree multiset."""
     _check_prime(P)
-    if f.is_zero:
-        raise ValueError("cannot take the splitting type of the zero polynomial")
-    if (f.leading % P).is_zero:
-        return SideResult("leading_coeff_vanishes", None)
-    fac = factor(reduce_mod_prime(f, P), seed=seed)
-    if fac.max_multiplicity > 1:
-        return SideResult("repeated_factor", None)
-    return SideResult(None, SplitType(tuple(fac.degrees())))
+    return _classify(f, P, _residue_field(f.field, P))
 
 
-def _prime_seed(seed: int, P: Poly) -> int:
-    # stable across processes and schedules
-    h = hashlib.blake2b(f"{seed}|{render_tpoly(P)}".encode(), digest_size=8)
-    return int.from_bytes(h.digest(), "big")
-
-
-def _verdict_at(f: YPoly, g: YPoly, P: Poly, seed: int) -> PrimeVerdict:
-    s = _prime_seed(seed, P)
-    rf = split_type(f, P, s)
-    rg = split_type(g, P, s)
-    reason = None
-    if rf.bad_reason == "leading_coeff_vanishes":
-        reason = "leading_coeff_vanishes_f"
-    elif rg.bad_reason == "leading_coeff_vanishes":
-        reason = "leading_coeff_vanishes_g"
-    elif rf.bad_reason == "repeated_factor":
-        reason = "repeated_factor_f"
-    elif rg.bad_reason == "repeated_factor":
-        reason = "repeated_factor_g"
+def _verdict_at(f: YPoly, g: YPoly, P: Poly) -> PrimeVerdict:
+    res = _residue_field(f.field, P)
+    rf = _classify(f, P, res)
+    rg = _classify(g, P, res)
+    reason = None  # a degree drop on either side outranks a repeated factor
+    for why in ("leading_coeff_vanishes", "repeated_factor"):
+        for side, r in (("f", rf), ("g", rg)):
+            if reason is None and r.bad_reason == why:
+                reason = f"{why}_{side}"
     return PrimeVerdict(P, rf.split, rg.split, reason)
 
 
@@ -219,20 +224,18 @@ def _select_primes(field: FiniteField, selection: PrimeSelection, seed: int) -> 
 _WORK: dict = {}
 
 
-def _init_worker(f, g, seed):
-    _WORK["args"] = (f, g, seed)
+def _init_worker(f, g):
+    _WORK["args"] = (f, g)
 
 
 def _run_worker(P):
-    f, g, seed = _WORK["args"]
-    return _verdict_at(f, g, P, seed)
+    return _verdict_at(*_WORK["args"], P)
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     selection_desc: str
     verdicts: tuple[PrimeVerdict, ...]
-    pair_desc: str = dc_field(default="", compare=False)
 
     @property
     def good(self) -> int:
@@ -281,14 +284,13 @@ def compare_split_types(
     selection: PrimeSelection,
     seed: int = 0,
     jobs: int = 1,
-    pair_desc: str = "",
 ) -> EquivalenceReport:
     """Compare splitting types of f and g over a selection of primes.
 
     The report is deterministic for fixed (f, g, selection, seed), whatever
-    the value of jobs: every per-prime factorization seed is derived from the
-    global seed and the prime alone, and verdicts are assembled in selection
-    order.
+    the value of jobs: seed only drives a Sampled selection, the per-prime
+    work has no random step, and verdicts are assembled in selection order.
+    At most min(jobs, number of primes, CPU count) worker processes run.
     """
     if f.field is not g.field:
         raise ValueError("f and g must share a base field")
@@ -299,11 +301,12 @@ def compare_split_types(
         desc = f"exhaustive degree<={selection.max_degree}"
     else:
         desc = f"sampled {selection.count} of degree {selection.degree}"
-    if jobs > 1:
+    workers = min(jobs, len(primes), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(f, g, seed)
+            max_workers=workers, initializer=_init_worker, initargs=(f, g)
         ) as pool:
             verdicts = tuple(pool.map(_run_worker, primes))
     else:
-        verdicts = tuple(_verdict_at(f, g, P, seed) for P in primes)
-    return EquivalenceReport(desc, verdicts, pair_desc)
+        verdicts = tuple(_verdict_at(f, g, P) for P in primes)
+    return EquivalenceReport(desc, verdicts)

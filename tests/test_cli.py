@@ -63,6 +63,15 @@ def test_torsion_parse_error(capsys):
     assert err.startswith("error:")
 
 
+def test_deeply_nested_expression_is_bad_input(capsys):
+    deep = "(" * 3000 + "T" + ")" * 3000
+    rc, out, err = run(capsys, ["torsion", "--p", "3", "--rho", "tau + T", "--a", deep])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: nesting deeper than 100 levels")
+    assert err.count("\n") == 1
+
+
 def test_factor_inert_prime(capsys):
     rc, out, _ = run(
         capsys, ["factor", "--p", "3", "--prime", "T + 1", "--poly", "y^8 + T*y^2 + T"]

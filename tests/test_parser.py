@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ffequiv.exprs import (
+    MAX_NESTING,
     ParseError,
     parse,
     parse_element,
@@ -200,3 +201,21 @@ def test_roundtrip_residue():
         lifted = [c % modulus for c in back.coeffs]
         redone = [f9.from_coeffs([e.coeffs[0] for e in c.coeffs]) for c in lifted]
         assert Poly(f9, redone) == v
+
+
+def test_nesting_limit():
+    ok = "(" * MAX_NESTING + "T" + ")" * MAX_NESTING
+    assert parse(ok, "t_poly", F3) == Poly.x(F3)
+    assert parse("-" * MAX_NESTING + "T", "t_poly", F3) == Poly.x(F3)
+    for deep in ("(" * (MAX_NESTING + 1) + "T" + ")" * (MAX_NESTING + 1), "-" * 3000 + "T"):
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse(deep, "t_poly", F3)
+
+
+def test_long_flat_expressions():
+    # a sum or product is one node, however many terms it has
+    assert parse(" + ".join(["T"] * 3001), "t_poly", F5) == Poly.x(F5)
+    assert parse(" - ".join(["y"] * 3001), "y_poly", F5) == parse("-2999*y", "y_poly", F5)
+    assert parse("*".join(["T"] * 1500), "t_poly", F5) == Poly.x(F5) ** 1500
+    twisted = " + ".join(["T*tau"] * 3001)
+    assert parse(twisted, "twisted", F5) == parse("T*tau", "twisted", F5)

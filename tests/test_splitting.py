@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from ffequiv import splitting
+from ffequiv.cli import _read_pair_source, load_pair
 from ffequiv.exprs import parse, render_residue_poly
 from ffequiv.fields import extension_field, prime_field
-from ffequiv.poly import Poly, factor, is_irreducible, poly_gcd
+from ffequiv.poly import Poly, factor, is_irreducible, monic_irreducibles, poly_gcd
 from ffequiv.splitting import (
     Exhaustive,
     Sampled,
@@ -296,8 +298,91 @@ def test_sampled_selection(pair1):
 
 
 def test_irreducible_count_matches_listing():
-    from ffequiv.poly import monic_irreducibles
-
     for q, build in ((2, prime_field(2)), (3, F3), (4, extension_field(2, degree=2))):
         for d in range(1, 5):
             assert irreducible_count(q, d) == len(monic_irreducibles(build, d))
+
+
+@pytest.mark.parametrize("name", ["gl2_f3_deg8", "gl2_f4_deg15"])
+def test_split_type_agrees_with_full_factorization(name):
+    # split types come from squarefree test + DDF; factor also runs EDF
+    pair = load_pair(_read_pair_source(name))
+    for d in range(1, 4):
+        for prime in monic_irreducibles(pair.field, d):
+            for h in (pair.f, pair.g):
+                got = split_type(h, prime)
+                red = reduce_mod_prime(h, prime)
+                if red.degree < h.degree:
+                    assert got.bad_reason == "leading_coeff_vanishes"
+                    continue
+                fac = factor(red)
+                if fac.max_multiplicity > 1:
+                    assert got.bad_reason == "repeated_factor"
+                else:
+                    assert not got.is_bad
+                    assert list(got.split.degrees) == fac.degrees()
+
+
+def test_prime_validated_only_at_public_entry_points(pair1, monkeypatch):
+    f, g = pair1
+    calls = []
+
+    def counting(P):
+        calls.append(P)
+        return is_irreducible(P)
+
+    monkeypatch.setattr(splitting, "is_irreducible", counting)
+    report = compare_split_types(f, g, Exhaustive(3))
+    assert len(report.verdicts) == 14
+    assert calls == []
+    with pytest.raises(ValueError, match="irreducible"):
+        split_type(f, P(F3, 2, 0, 1))
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="irreducible"):
+        reduce_mod_prime(f, P(F3, 2, 0, 1))
+    assert len(calls) == 2
+
+
+def test_split_type_input_errors(pair1):
+    f, _ = pair1
+    with pytest.raises(ValueError, match="zero polynomial"):
+        split_type(YPoly(F3, []), P(F3, 1, 1))
+    with pytest.raises(ValueError, match="constant"):
+        split_type(YPoly(F3, [P(F3, 1, 1)]), P(F3, 0, 1))
+    with pytest.raises(ValueError, match="monic"):
+        split_type(f, P(F3, 1, 2))
+    with pytest.raises(ValueError, match="irreducible"):
+        split_type(f, P(F3, 2, 0, 1))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    created: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.created.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(8, 2, 2), (8, 64, 6), (3, 64, 3), (8, 1, None), (8, None, None), (1, 64, None)],
+)
+def test_jobs_capped_by_primes_and_cpus(pair1, monkeypatch, jobs, cpus, workers):
+    f, g = pair1
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(splitting, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(splitting.os, "cpu_count", lambda: cpus)
+    report = compare_split_types(f, g, Exhaustive(2), jobs=jobs)  # 6 primes
+    assert _RecordingPool.created == ([] if workers is None else [workers])
+    assert report.render() == compare_split_types(f, g, Exhaustive(2)).render()
