@@ -260,13 +260,10 @@ def parse(text: str, mode: str, field: FiniteField):
     ast = _Parser(text).parse()
     if mode == "twisted":
         return _eval_twisted(ast, field)
-    if mode == "t_poly":
+    if mode in ("t_poly", "x_poly"):
+        (var,) = _MODE_SYMBOLS[mode]
         return _eval_commutative(
-            ast, lambda n: Poly.constant(field, field(n)), {"T": Poly.x(field)}, mode
-        )
-    if mode == "x_poly":
-        return _eval_commutative(
-            ast, lambda n: Poly.constant(field, field(n)), {"x": Poly.x(field)}, mode
+            ast, lambda n: Poly.constant(field, field(n)), {var: Poly.x(field)}, mode
         )
     env = {
         "T": YPoly.constant(field, Poly.x(field)),
@@ -336,28 +333,25 @@ def _graded_render(coeffs, outer: str, monomials, is_one) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def render_ypoly(poly: YPoly) -> str:
-    """Canonical rendering with T-polynomial coefficients, e.g. y^8 + T*y^2 + T."""
+def _render_over_t(poly, outer: str, name: str) -> str:
     if poly.field.m != 1:
-        raise ValueError("render_ypoly requires a prime base field")
+        raise ValueError(f"{name} requires a prime base field")
     return _graded_render(
         poly.coeffs,
-        "y",
+        outer,
         lambda c: _int_monomials([e.coeffs[0] for e in c.coeffs], "T"),
         lambda c: c.is_one,
     )
+
+
+def render_ypoly(poly: YPoly) -> str:
+    """Canonical rendering with T-polynomial coefficients, e.g. y^8 + T*y^2 + T."""
+    return _render_over_t(poly, "y", "render_ypoly")
 
 
 def render_twisted(poly: TwistedPoly) -> str:
     """Canonical rendering in tau, e.g. tau^2 + T*tau + T."""
-    if poly.field.m != 1:
-        raise ValueError("render_twisted requires a prime base field")
-    return _graded_render(
-        poly.coeffs,
-        "tau",
-        lambda c: _int_monomials([e.coeffs[0] for e in c.coeffs], "T"),
-        lambda c: c.is_one,
-    )
+    return _render_over_t(poly, "tau", "render_twisted")
 
 
 def render_residue_poly(poly: Poly, var: str = "y") -> str:

@@ -21,68 +21,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# small helpers on integer-coefficient polynomials mod p (low-to-high lists),
-# used only to validate and search extension moduli
-
-def _ipoly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _ipoly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = [x % p for x in a]
-    inv_lead = pow(b[-1], p - 2, p)
-    db = len(b) - 1
-    quot = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and _ipoly_trim(a):
-        shift = len(a) - 1 - db
-        factor = (a[-1] * inv_lead) % p
-        quot[shift] = factor
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bc) % p
-        _ipoly_trim(a)
-    return _ipoly_trim(quot), a
-
-
-def _ipoly_is_irreducible(m_coeffs: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(m_coeffs) - 1
-    if deg < 1:
-        return False
-    if m_coeffs[0] % p == 0 and deg > 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for tail in range(p**d):
-            div = []
-            t = tail
-            for _ in range(d):
-                div.append(t % p)
-                t //= p
-            div.append(1)
-            _, rem = _ipoly_divmod(list(m_coeffs), div, p)
-            if not rem:
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree m over F_p."""
-    for packed in range(p**m):
-        coeffs = []
-        t = packed
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
-        if _ipoly_is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-# ---------------------------------------------------------------------------
-
 _FIELD_CACHE: dict[tuple[int, tuple[int, ...] | None], "FiniteField"] = {}
 
 
@@ -191,12 +129,35 @@ def prime_field(p: int) -> FiniteField:
     return _rebuild_field(p, None)
 
 
+def _is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
+    """Rabin's test on the integer coefficients (low degree first) of a
+    monic polynomial over F_p."""
+    from .poly import Poly, is_irreducible  # poly imports this module
+
+    return is_irreducible(Poly.from_ints(prime_field(p), coeffs))
+
+
+def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
+    """The monic irreducible of degree m over F_p whose lower coefficients
+    c_0..c_{m-1}, read as the base-p number sum c_i * p^i, are least."""
+    for packed in range(p**m):
+        coeffs = []
+        t = packed
+        for _ in range(m):
+            coeffs.append(t % p)
+            t //= p
+        coeffs.append(1)
+        if _is_irreducible(p, coeffs):
+            return tuple(coeffs)
+    raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
 def extension_field(p: int, modulus: Sequence[int] | None = None, degree: int | None = None) -> FiniteField:
     """F_{p^m} as F_p[x]/(M(x)).
 
     Either supply ``modulus`` (coefficients low degree first, monic, irreducible
-    over F_p) or a ``degree`` m >= 2, in which case the lexicographically
-    smallest monic irreducible of that degree is used.
+    over F_p, checked by Rabin's test) or a ``degree`` m >= 2, in which case
+    the modulus is the one :func:`_smallest_irreducible` picks.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -213,7 +174,7 @@ def extension_field(p: int, modulus: Sequence[int] | None = None, degree: int | 
         raise ValueError("extension modulus must have degree at least 2")
     if mod[-1] != 1:
         raise ValueError("extension modulus must be monic")
-    if not _ipoly_is_irreducible(mod, p):
+    if not _is_irreducible(p, mod):
         raise ValueError("extension modulus is reducible over the prime field")
     return _rebuild_field(p, mod)
 

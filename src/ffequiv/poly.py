@@ -14,21 +14,29 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .fields import FieldElement, FiniteField
 
 
-class Poly:
-    """Dense polynomial; coeffs low degree first, trailing zeros trimmed.
+class _Dense:
+    """Dense polynomial over a coefficient ring; coeffs low degree first,
+    trailing zeros trimmed.
 
     The zero polynomial is the empty coefficient tuple and reports the
-    sentinel degree -1.
+    sentinel degree -1.  A subclass supplies ``_czero``/``_cone``, the
+    coefficient zero and one as functions of the field, and ``_scalar``,
+    the coefficient type that ``*`` treats as a scalar.  ``_twist(c, i)``
+    moves a coefficient c past the i-th power of the variable; it is None
+    in a commutative ring.
     """
 
     __slots__ = ("field", "coeffs")
+    _scalar: type | tuple = ()
+    _twist = None
 
-    def __init__(self, field: FiniteField, coeffs: Iterable[FieldElement] = ()):
+    def __init__(self, field: FiniteField, coeffs: Iterable = ()):
         cs = list(coeffs)
         while cs and cs[-1].is_zero:
             cs.pop()
@@ -36,31 +44,21 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, field: FiniteField) -> "Poly":
+    def zero(cls, field: FiniteField):
         return cls(field, ())
 
     @classmethod
-    def one(cls, field: FiniteField) -> "Poly":
-        return cls(field, (field.one,))
+    def one(cls, field: FiniteField):
+        return cls(field, (cls._cone(field),))
 
     @classmethod
-    def x(cls, field: FiniteField) -> "Poly":
+    def x(cls, field: FiniteField):
         """The variable itself."""
-        return cls(field, (field.zero, field.one))
+        return cls(field, (cls._czero(field), cls._cone(field)))
 
     @classmethod
-    def constant(cls, field: FiniteField, c: FieldElement) -> "Poly":
+    def constant(cls, field: FiniteField, c):
         return cls(field, (c,))
-
-    @classmethod
-    def from_ints(cls, field: FiniteField, ints: Sequence[int]) -> "Poly":
-        """Coefficients given as integers, embedded as constants mod p."""
-        return cls(field, [field(v) for v in ints])
-
-    @classmethod
-    def from_indices(cls, field: FiniteField, idxs: Sequence[int]) -> "Poly":
-        """Coefficients given by their integer encoding in the field."""
-        return cls(field, [field.from_index(v) for v in idxs])
 
     @property
     def degree(self) -> int:
@@ -75,24 +73,20 @@ class Poly:
         return len(self.coeffs) == 1 and self.coeffs[0].is_one
 
     @property
-    def leading(self) -> FieldElement:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].is_one
+    def coeff(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._czero(self.field)
 
-    def coeff(self, i: int) -> FieldElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
-
-    def _check(self, other: "Poly"):
+    def _check(self, other: "_Dense"):
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.coeffs == other.coeffs and self.field == other.field
 
@@ -103,7 +97,7 @@ class Poly:
         return bool(self.coeffs)
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
         a, b = self.coeffs, other.coeffs
@@ -112,58 +106,61 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(self.field, out)
+        return type(self)(self.field, out)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return type(self)(self.field, [-c for c in self.coeffs])
 
-    def scale(self, c: FieldElement) -> "Poly":
+    def scale(self, c):
+        """Coefficient-wise product with the scalar c."""
         if c.field != self.field:
             raise ValueError("scalar from a different field")
         if c.is_zero:
-            return Poly(self.field, ())
+            return type(self)(self.field, ())
         if c.is_one:
             return self
-        return Poly(self.field, [a * c for a in self.coeffs])
+        return type(self)(self.field, [a * c for a in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
+        if isinstance(other, self._scalar):
             return self.scale(other)
-        if not isinstance(other, Poly):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        self._check(other)
         f = self.field
+        if other.field is not f:
+            self._check(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly(f, ())
-        la, lb = len(a), len(b)
+            return type(self)(f, ())
         nza = [i for i, c in enumerate(a) if not c.is_zero]
-        nzb = [j for j, c in enumerate(b) if not c.is_zero]
-        if (
-            f.m == 1
-            and len(nza) * len(nzb) > 4096
-            and (f.p - 1) ** 2 * min(la, lb) < (1 << 32)
-        ):
-            prod = _int_convolve([c.coeffs[0] for c in a], [c.coeffs[0] for c in b], f.p)
-            return Poly(f, [FieldElement(f, (v,)) for v in prod])
-        out = [f.zero] * (la + lb - 1)
+        nzb = [(j, c) for j, c in enumerate(b) if not c.is_zero]
+        if len(nza) * len(nzb) > 4096:
+            fast = self._mul_large(a, b)
+            if fast is not None:
+                return fast
+        out = [self._czero(f)] * (len(a) + len(b) - 1)
+        twist = self._twist
         for i in nza:
             ca = a[i]
-            for j in nzb:
-                out[i + j] = out[i + j] + ca * b[j]
-        return Poly(f, out)
+            row = nzb if twist is None else [(j, twist(c, i)) for j, c in nzb]
+            for j, cb in row:
+                out[i + j] = out[i + j] + ca * cb
+        return type(self)(f, out)
 
-    __rmul__ = __mul__
+    def _mul_large(self, a: tuple, b: tuple):
+        """Product of two coefficient tuples by a faster route than the
+        schoolbook loop, or None where there is none."""
+        return None
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponent")
-        result = Poly.one(self.field)
+        result = type(self).one(self.field)
         base = self
         while e:
             if e & 1:
@@ -171,6 +168,48 @@ class Poly:
             base = base * base
             e >>= 1
         return result
+
+    def derivative(self):
+        f = self.field
+        return type(self)(f, [self.coeffs[i] * f(i) for i in range(1, len(self.coeffs))])
+
+    def __repr__(self):
+        return f"{type(self).__name__}[{', '.join(repr(c) for c in self.coeffs)}]"
+
+
+class Poly(_Dense):
+    """Polynomial with coefficients in a finite field."""
+
+    __slots__ = ()
+    _czero = attrgetter("zero")
+    _cone = attrgetter("one")
+    _scalar = FieldElement
+
+    @classmethod
+    def from_ints(cls, field: FiniteField, ints: Sequence[int]) -> "Poly":
+        """Coefficients given as integers, embedded as constants mod p."""
+        return cls(field, [field(v) for v in ints])
+
+    @classmethod
+    def from_indices(cls, field: FiniteField, idxs: Sequence[int]) -> "Poly":
+        """Coefficients given by their integer encoding in the field."""
+        return cls(field, [field.from_index(v) for v in idxs])
+
+    @property
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1].is_one
+
+    # Set on this class itself, so a wrapper (perfbench/tracer.py) can
+    # replace Poly's product alone.
+    __mul__ = _Dense.__mul__
+    __rmul__ = __mul__
+
+    def _mul_large(self, a, b):
+        f = self.field
+        if f.m != 1 or (f.p - 1) ** 2 * min(len(a), len(b)) >= (1 << 32):
+            return None
+        prod = _int_convolve([c.coeffs[0] for c in a], [c.coeffs[0] for c in b], f.p)
+        return Poly(f, [FieldElement(f, (v,)) for v in prod])
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
@@ -217,10 +256,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "Poly":
-        f = self.field
-        return Poly(f, [f(i) * self.coeffs[i] for i in range(1, len(self.coeffs))])
 
     def __repr__(self):
         if self.is_zero:
@@ -468,6 +503,7 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 # ---------------------------------------------------------------------------
 # enumeration of monic irreducibles
 
+SIEVE_LIMIT = 1 << 24  # most candidates (q^d) that monic_irreducibles sieves
 _IRR_DIGITS: dict[tuple[FiniteField, int], list[tuple[int, ...]]] = {}
 _TABLES: dict[FiniteField, tuple[list[list[int]], list[list[int]]]] = {}
 
@@ -495,6 +531,11 @@ def _irr_digits(field: FiniteField, d: int) -> list[tuple[int, ...]]:
         res = [(c,) for c in range(q)]
         _IRR_DIGITS[key] = res
         return res
+    if q**d > SIEVE_LIMIT:
+        raise ValueError(
+            f"listing degree-{d} irreducibles over GF({q}) sieves {q}^{d} candidates, "
+            f"more than the limit of {SIEVE_LIMIT}"
+        )
     add, mul = _field_tables(field)
     mark = bytearray(q**d)
     for e in range(1, d // 2 + 1):

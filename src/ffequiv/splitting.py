@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .exprs import render_tpoly
-from .fields import FiniteField, extension_field
+from .fields import FiniteField, _rebuild_field
 from .poly import Poly, _distinct_degree, is_irreducible, monic_irreducibles, poly_gcd
 from .twisted import YPoly
 
@@ -104,14 +104,15 @@ def _check_prime(P: Poly):
 
 
 def _residue_field(base: FiniteField, P: Poly) -> FiniteField:
-    """F_q[T]/(P) for a prime P over the prime field base."""
+    """F_q[T]/(P) for a prime P over the prime field base.  P is already
+    validated, so the interned field is taken without testing P again."""
     if base.m != 1:
         raise ValueError("reduction is implemented over prime base fields only")
     if P.field is not base:
         raise ValueError("P must live over the same base field as f")
     if P.degree == 1:
         return base
-    return extension_field(base.p, modulus=[c.coeffs[0] for c in P.coeffs])
+    return _rebuild_field(base.p, tuple(c.coeffs[0] for c in P.coeffs))
 
 
 def _reduce(f: YPoly, P: Poly, res: FiniteField) -> Poly:

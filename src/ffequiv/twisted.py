@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .fields import FieldElement, FiniteField
-from .poly import Poly
+from .fields import FiniteField
+from .poly import Poly, _Dense
 
 
 def _frob_power(b: Poly, i: int) -> Poly:
@@ -29,232 +29,47 @@ def _frob_power(b: Poly, i: int) -> Poly:
     return Poly(b.field, out)
 
 
-class TwistedPoly:
-    """Sum a_i * tau^i with a_i in F_q[T]; coefficients indexed by tau-degree,
-    trailing zeros trimmed."""
+class _OverFqT(_Dense):
+    """Dense polynomial with coefficients in F_q[T], each checked to lie
+    over the ring's field."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
+    _czero = Poly.zero
+    _cone = Poly.one
 
     def __init__(self, field: FiniteField, coeffs: Iterable[Poly] = ()):
         cs = list(coeffs)
         for c in cs:
             if c.field != field:
                 raise ValueError("coefficient from a different field")
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
+        super().__init__(field, cs)
 
-    @classmethod
-    def zero(cls, field: FiniteField) -> "TwistedPoly":
-        return cls(field, ())
 
-    @classmethod
-    def one(cls, field: FiniteField) -> "TwistedPoly":
-        return cls(field, (Poly.one(field),))
+class TwistedPoly(_OverFqT):
+    """Sum a_i * tau^i with a_i in F_q[T]; coefficients indexed by tau-degree."""
+
+    __slots__ = ()
+    _twist = staticmethod(_frob_power)
+    # Set on this class itself, so a wrapper (perfbench/tracer.py) can
+    # replace the twisted product alone.
+    __mul__ = _Dense.__mul__
 
     @classmethod
     def tau(cls, field: FiniteField) -> "TwistedPoly":
-        return cls(field, (Poly.zero(field), Poly.one(field)))
-
-    @classmethod
-    def constant(cls, field: FiniteField, c: Poly) -> "TwistedPoly":
-        return cls(field, (c,))
-
-    @property
-    def degree(self) -> int:
-        """tau-degree; -1 for the zero element."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, i: int) -> Poly:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Poly.zero(self.field)
-
-    def _check(self, other: "TwistedPoly"):
-        if self.field != other.field:
-            raise ValueError("field mismatch in twisted arithmetic")
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.field == other.field
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, TwistedPoly):
-            return NotImplemented
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return TwistedPoly(self.field, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, TwistedPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TwistedPoly(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, TwistedPoly):
-            return NotImplemented
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return TwistedPoly.zero(self.field)
-        out = [Poly.zero(self.field)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * _frob_power(b, i)
-        return TwistedPoly(self.field, out)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = TwistedPoly.one(self.field)
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def __repr__(self):
-        if self.is_zero:
-            return "TwistedPoly(0)"
-        return f"TwistedPoly[{', '.join(repr(c) for c in self.coeffs)}]"
+        return cls.x(field)
 
 
-class YPoly:
+class YPoly(_OverFqT):
     """Polynomial in y with coefficients in F_q[T]; commutative, used for
-    torsion polynomials and their reductions."""
+    torsion polynomials and their reductions.  ``YPoly * Poly`` scales by
+    the T-polynomial."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FiniteField, coeffs: Iterable[Poly] = ()):
-        cs = list(coeffs)
-        for c in cs:
-            if c.field != field:
-                raise ValueError("coefficient from a different field")
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field: FiniteField) -> "YPoly":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: FiniteField) -> "YPoly":
-        return cls(field, (Poly.one(field),))
+    __slots__ = ()
+    _scalar = Poly
 
     @classmethod
     def y(cls, field: FiniteField) -> "YPoly":
-        return cls(field, (Poly.zero(field), Poly.one(field)))
-
-    @classmethod
-    def constant(cls, field: FiniteField, c: Poly) -> "YPoly":
-        return cls(field, (c,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Poly:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, k: int) -> Poly:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Poly.zero(self.field)
-
-    def _check(self, other: "YPoly"):
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.field == other.field
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return YPoly(self.field, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return YPoly(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return self.scale(other)
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return YPoly.zero(self.field)
-        out = [Poly.zero(self.field)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return YPoly(self.field, out)
-
-    def scale(self, c: Poly) -> "YPoly":
-        if c.field != self.field:
-            raise ValueError("scalar from a different field")
-        return YPoly(self.field, [a * c for a in self.coeffs])
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = YPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def derivative(self) -> "YPoly":
-        f = self.field
-        return YPoly(f, [self.coeffs[i] * f(i) for i in range(1, len(self.coeffs))])
-
-    def __repr__(self):
-        return f"YPoly[{', '.join(repr(c) for c in self.coeffs)}]"
+        return cls.x(field)
 
 
 class DrinfeldModule:

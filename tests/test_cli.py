@@ -244,6 +244,21 @@ def test_gassmann_cap_exceeded(capsys):
     )
     assert rc == 2
     assert "enumeration cap exceeded" in err
+    # the modulus x^4 + x + 6 over F_10007 is validated in well under a second
+    rc, _, err = run(
+        capsys,
+        [
+            "gassmann",
+            "--p", "10007",
+            "--ext-modulus", "x^4+x+6",
+            "--n", "2",
+            "--construction", "stabilizers",
+            "--cap", "1000",
+        ],
+    )
+    assert rc == 2
+    assert err.startswith("error: enumeration cap exceeded")
+    assert len(err.splitlines()) == 1
 
 
 def test_gassmann_example1_needs_prime_field(capsys):
@@ -296,6 +311,13 @@ def test_primes_bad_degree(capsys):
     rc, _, err = run(capsys, ["primes", "--p", "3", "--degree", "0"])
     assert rc == 2
     assert "degree must be at least 1" in err
+    # 2^40 sieve entries: refused before anything is allocated
+    rc, _, err = run(capsys, ["primes", "--p", "2", "--degree", "40"])
+    assert rc == 2
+    assert err == (
+        "error: listing degree-40 irreducibles over GF(2) sieves 2^40 candidates, "
+        "more than the limit of 16777216\n"
+    )
 
 
 def test_no_subcommand():

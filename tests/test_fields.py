@@ -30,6 +30,8 @@ def test_construction_errors():
     # x^2 + 2 = (x+1)(x+2) over F_3
     with pytest.raises(ValueError):
         extension_field(3, modulus=[2, 0, 1])
+    with pytest.raises(ValueError, match="reducible"):
+        extension_field(10007, modulus=[2, 0, 3, 0, 1])  # (x^2 + 1)(x^2 + 2)
     with pytest.raises(ValueError):
         extension_field(2, modulus=[1, 1, 2])  # not monic after reduction
     with pytest.raises(ValueError):
@@ -40,10 +42,42 @@ def test_construction_errors():
         extension_field(2, modulus=[1, 1, 1], degree=2)
 
 
+# extension_field(p, degree=m).modulus for every p^m <= 4096 with p <= 7,
+# low degree first; (3, 5) and (2, 10) are the benchmark's F_243 and F_1024
+CANONICAL_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+}
+
+
 def test_canonical_moduli():
     assert extension_field(2, degree=2).modulus == (1, 1, 1)  # x^2+x+1
     assert extension_field(3, degree=2).modulus == (1, 0, 1)  # x^2+1
     assert extension_field(2, degree=3).modulus == (1, 1, 0, 1)
+    for (p, m), modulus in CANONICAL_MODULI.items():
+        assert extension_field(p, degree=m).modulus == modulus, (p, m)
 
 
 def test_interning_and_equality():
@@ -53,6 +87,10 @@ def test_interning_and_equality():
     # trailing zeros in the supplied modulus are trimmed before validation
     c = extension_field(3, modulus=[1, 0, 1, 0, 0])
     assert c is extension_field(3, degree=2)
+    # x^4 + x + 6 over F_10007: validated in well under a second
+    d = extension_field(10007, modulus=[6, 1, 0, 0, 1])
+    assert d.q == 10007**4
+    assert d is extension_field(10007, modulus=[6, 1, 0, 0, 1, 0])
 
 
 def test_alternate_modulus_distinct_field():

@@ -54,6 +54,7 @@ def test_identity_and_zero():
     assert one * u == u
     assert (u * zero).is_zero
     assert (zero * u).is_zero
+    assert not zero and one
 
 
 def _random_twisted(field, rng, max_tau_deg=2, max_coeff_deg=2):
@@ -75,6 +76,11 @@ def test_ring_laws_random():
             assert (u * v) * w == u * (v * w)
             assert u * (v + w) == u * v + u * w
             assert (u + v) * w == u * w + v * w
+        u = _random_twisted(field, rng)
+        power = TwistedPoly.one(field)
+        for e in range(7):
+            assert u**e == power
+            power = power * u
 
 
 def test_tau_degree_additive():
@@ -93,6 +99,8 @@ def test_drinfeld_module_validation():
         DrinfeldModule(TW(F3, Poly.one(F3), P(F3, 1)))
     with pytest.raises(ValueError, match="positive tau-degree"):
         DrinfeldModule(TwistedPoly.constant(F3, Poly.x(F3)))
+    with pytest.raises(ValueError, match="different field"):
+        TW(F3, P(F3, 0, 1), P(F2, 1))
     rho = carlitz(F3)
     assert rho.rank == 1
     assert rho.image_of_T == TW(F3, P(F3, 0, 1), P(F3, 1))
@@ -224,3 +232,13 @@ def test_ypoly_ring_basics():
     assert (f - f).is_zero
     with pytest.raises(ValueError):
         _ = y + YPoly.y(F2)
+    with pytest.raises(ValueError, match="different field"):
+        YPoly(F3, [Poly.x(F3), Poly.one(F2)])
+    assert y * Poly.x(F3) == t * y
+    tau = TwistedPoly.tau(F3)
+    x = Poly.x(F3)
+    for a, b in ((x, y), (y, tau), (tau, y), (x, tau), (tau, x)):
+        with pytest.raises(TypeError):
+            _ = a + b
+        with pytest.raises(TypeError):
+            _ = a * b
