@@ -1,18 +1,18 @@
 """Small matrix groups over finite fields and Gassmann-triple certificates.
 
-Everything here is explicit: GL_n(F_q), or its quotient by a scalar subgroup
-S, is a sorted tuple of canonical representative matrices with dictionary
-membership.  Subgroups are verified closed by exhaustion, the permutation
-characters on G/H are computed by counting fixed cosets classwise, and
-non-triviality (non-conjugacy of H and H') is decided by trying every
-conjugator.  Nothing is sampled except the constructor's closure spot-check.
+Everything here is explicit and deterministic: GL_n(F_q), or its quotient by
+a scalar subgroup S, is a sorted tuple of canonical representative matrices
+with dictionary membership.  One orbit routine spans the group from elementary
+generators (its order is checked against the formula), checks subgroups closed
+from generators picked among their members, and finds conjugacy classes as
+orbits under the group's generators.  Permutation characters on G/H come from
+class counts, and non-conjugacy of H and H' is decided by trying every
+conjugator on the generators of H.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .fields import FieldElement, FiniteField
 
@@ -160,8 +160,20 @@ def _smallest_generator(field: FiniteField) -> FieldElement:
     raise AssertionError("multiplicative group has no generator")
 
 
+def _orbit(x, step) -> set:
+    """Everything reachable from x by repeating step (x -> iterable of successors)."""
+    seen = {x}
+    todo = [x]
+    while todo:
+        for y in step(todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
 class MatGroup:
-    """GL_n(F_q), or GL_n(F_q)/S for a scalar subgroup S, fully enumerated.
+    """GL_n(F_q), or GL_n(F_q)/S for a scalar subgroup S, spanned by gens.
 
     Elements are canonical coset representatives: the first nonzero entry in
     row-major order lies in the fixed transversal of S in F_q^x (powers of
@@ -169,15 +181,15 @@ class MatGroup:
     quotient group law.
     """
 
-    def __init__(self, field, n, scalar_subgroup, elements, canon_scalar):
+    def __init__(self, field, n, scalar_subgroup, gens, canon_scalar):
         self.field = field
         self.n = n
         self.scalar_subgroup = scalar_subgroup
-        self.elements = elements
         self._canon_scalar = canon_scalar
-        self.index = {m: i for i, m in enumerate(elements)}
+        self.gens = tuple(self.canon(g) for g in gens)
+        self.elements = tuple(sorted(self.span(self.gens), key=lambda m: m.key))
+        self.index = {m: i for i, m in enumerate(self.elements)}
         self._classes = None
-        self._inverses = None
 
     def __len__(self):
         return len(self.elements)
@@ -200,28 +212,25 @@ class MatGroup:
     def inv(self, a: MatElem) -> MatElem:
         return self.canon(a.inverse())
 
-    def inverses(self) -> list[MatElem]:
-        if self._inverses is None:
-            self._inverses = [self.inv(m) for m in self.elements]
-        return self._inverses
+    def span(self, gens) -> set[MatElem]:
+        """The subgroup generated by canonical gens (products alone suffice: it is finite)."""
+        return _orbit(self.identity, lambda x: [self.mul(x, g) for g in gens])
 
     def conjugacy_classes(self):
+        """(representative, size, frozenset of indices) per conjugation orbit
+        under gens, in order of the smallest index, which is the representative."""
         if self._classes is None:
-            n = len(self.elements)
-            invs = self.inverses()
-            seen = bytearray(n)
+            pairs = [(g, g.inverse()) for g in self.gens]
+            seen = bytearray(len(self.elements))
             classes = []
-            for i in range(n):
+            for i, x in enumerate(self.elements):
                 if seen[i]:
                     continue
-                x = self.elements[i]
-                members = set()
-                for g, ginv in zip(self.elements, invs):
-                    y = self.canon(g.mul(x).mul(ginv))
-                    members.add(self.index[y])
+                orbit = _orbit(x, lambda y: [self.canon(g.mul(y).mul(gi)) for g, gi in pairs])
+                members = frozenset(self.index[y] for y in orbit)
                 for j in members:
                     seen[j] = 1
-                classes.append((x, len(members), frozenset(members)))
+                classes.append((x, len(members), members))
             self._classes = classes
         return self._classes
 
@@ -244,14 +253,12 @@ def build_gl(
     if n < 1:
         raise ValueError("dimension must be at least 1")
     q = field.q
-    if scalar_generator is None:
-        s_elems = {field.one}
-    else:
+    s_elems = {field.one}
+    if scalar_generator is not None:
         if scalar_generator.field is not field:
             raise ValueError("scalar generator from a different field")
         if scalar_generator.is_zero:
             raise ValueError("scalar subgroup generator must be nonzero")
-        s_elems = {field.one}
         a = scalar_generator
         while a not in s_elems:
             s_elems.add(a)
@@ -274,41 +281,29 @@ def build_gl(
         shift = (k % s_index) - k
         u = g0 ** (shift % (q - 1)) if shift else None
         canon_scalar[e] = u
-    els = [field.from_index(i) for i in range(q)]
-    seen = set()
-    out = []
-    for idxs in iproduct(range(q), repeat=n * n):
-        rows = tuple(
-            tuple(els[idxs[i * n + j]] for j in range(n)) for i in range(n)
-        )
-        m = MatElem._make(field, n, rows)
-        if m.det().is_zero:
-            continue
-        first = next(e for r in rows for e in r if not e.is_zero)
-        u = canon_scalar[first]
-        if u is not None:
-            m = m.scale(u)
-        if m in seen:
-            continue
-        seen.add(m)
-        out.append(m)
-    if len(out) != size:
+    ident = MatElem.identity(field, n).rows
+
+    def with_entry(i, j, b):
+        rows = [[b if (r, c) == (i, j) else e for c, e in enumerate(row)] for r, row in enumerate(ident)]
+        return MatElem(field, rows)
+
+    # diag(g0, 1, ..., 1) gives every determinant (it is the identity when
+    # q = 2); the transvections 1 + b*E_ij over an F_p-basis b of F_q
+    # generate SL_n(F_q)
+    basis = [field.from_coeffs([0] * k + [1]) for k in range(field.m)]
+    gens = [with_entry(0, 0, g0)] if q > 2 else []
+    gens += [with_entry(i, j, b) for i in range(n) for j in range(n) if i != j for b in basis]
+    group = MatGroup(field, n, tuple(sorted(s_elems, key=lambda e: e.index)), gens, canon_scalar)
+    if len(group) != size:
         raise AssertionError(
-            f"enumeration produced {len(out)} elements, formula says {size}"
+            f"generators span {len(group)} elements, formula says {size}"
         )
-    out.sort(key=lambda m: m.key)
-    group = MatGroup(field, n, tuple(sorted(s_elems, key=lambda e: e.index)), tuple(out), canon_scalar)
-    rng = random.Random(0)
-    for _ in range(100):
-        a = out[rng.randrange(size)]
-        b = out[rng.randrange(size)]
-        if group.mul(a, b) not in group.index:
-            raise AssertionError("closure spot-check failed")
     return group
 
 
 class Subgroup:
-    """Subset of a MatGroup verified to be a subgroup by exhaustion."""
+    """Subset of a MatGroup, verified closed by spanning generators picked
+    greedily from its sorted members."""
 
     def __init__(self, parent: MatGroup, members):
         members = sorted(set(members), key=lambda m: m.key)
@@ -320,15 +315,18 @@ class Subgroup:
         mset = set(members)
         if parent.identity not in mset:
             raise ValueError("subgroup must contain the identity")
-        for a in members:
-            if parent.inv(a) not in mset:
-                raise ValueError("subgroup not closed under inverse")
-            for b in members:
-                if parent.mul(a, b) not in mset:
+        gens = []
+        span = {parent.identity}
+        for m in members:
+            if m not in span:
+                gens.append(m)
+                span = parent.span(gens)
+                if not span <= mset:
                     raise ValueError("subgroup not closed under product")
         if len(parent) % len(members):
             raise AssertionError("subgroup order does not divide group order")
         self.parent = parent
+        self.gens = tuple(gens)
         self.members = tuple(members)
         self.member_set = frozenset(members)
 
@@ -385,26 +383,15 @@ def conjugacy_classes(G: MatGroup):
 
 
 def permutation_character_fixpoints(G: MatGroup, H: Subgroup) -> list[int]:
-    """Fixed-point counts of class representatives acting on G/H."""
+    """Fixed-point counts of class representatives acting on G/H: a member of
+    class C fixes |G| * |C & H| / (|C| * |H|) cosets."""
     if H.parent is not G:
         raise ValueError("H is not a subgroup of this group")
-    coset_of = [-1] * len(G)
-    reps = []
-    for i, x in enumerate(G.elements):
-        if coset_of[i] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for h in H.members:
-            coset_of[G.index[G.mul(x, h)]] = cid
-    counts = []
-    for rep, _, _ in G.conjugacy_classes():
-        fixed = 0
-        for x in reps:
-            if coset_of[G.index[G.mul(rep, x)]] == coset_of[G.index[x]]:
-                fixed += 1
-        counts.append(fixed)
-    return counts
+    h_indices = {G.index[m] for m in H.members}
+    return [
+        len(G) * len(members & h_indices) // (size * len(H))
+        for _, size, members in G.conjugacy_classes()
+    ]
 
 
 @dataclass(frozen=True)
@@ -428,17 +415,20 @@ class GassmannCertificate:
 
 
 def _are_conjugate(G: MatGroup, H: Subgroup, Hp: Subgroup) -> bool:
+    """Whether g H g^-1 = H' for some g in G.  As |H| = |H'|, it is enough
+    that g maps the generators of H into H'."""
     if len(H) != len(Hp):
         return False
     target = Hp.member_set
-    for g, ginv in zip(G.elements, G.inverses()):
-        if all(G.canon(g.mul(h).mul(ginv)) in target for h in H.members):
+    for g in G.elements:
+        ginv = g.inverse()
+        if all(G.canon(g.mul(h).mul(ginv)) in target for h in H.gens):
             return True
     return False
 
 
 def verify_gassmann(G: MatGroup, H: Subgroup, Hp: Subgroup) -> GassmannCertificate:
-    """Classwise fixed-point comparison plus exhaustive non-conjugacy check."""
+    """Classwise fixed-point comparison plus non-conjugacy over every conjugator."""
     if H.parent is not G or Hp.parent is not G:
         raise ValueError("both subgroups must live in the given group")
     fix_h = permutation_character_fixpoints(G, H)

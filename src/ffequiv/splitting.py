@@ -235,7 +235,6 @@ def _run_worker(P):
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    selection_desc: str
     verdicts: tuple[PrimeVerdict, ...]
 
     @property
@@ -298,10 +297,6 @@ def compare_split_types(
     primes = _select_primes(f.field, selection, seed)
     if not primes:
         raise ValueError("empty prime selection")
-    if isinstance(selection, Exhaustive):
-        desc = f"exhaustive degree<={selection.max_degree}"
-    else:
-        desc = f"sampled {selection.count} of degree {selection.degree}"
     workers = min(jobs, len(primes), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(
@@ -310,4 +305,4 @@ def compare_split_types(
             verdicts = tuple(pool.map(_run_worker, primes))
     else:
         verdicts = tuple(_verdict_at(f, g, P) for P in primes)
-    return EquivalenceReport(desc, verdicts)
+    return EquivalenceReport(verdicts)

@@ -112,6 +112,9 @@ def rho_eval(rho: DrinfeldModule, u: Poly) -> TwistedPoly:
     return acc
 
 
+TORSION_LIMIT = 1 << 20  # largest y-degree q^(rank*deg a) that torsion_polynomial builds
+
+
 def torsion_polynomial(rho: DrinfeldModule, a: Poly, strip_trivial_root: bool = False) -> YPoly:
     """The polynomial in y whose roots are the a-torsion points: tau^i maps
     to y^{q^i}.  With strip_trivial_root the known root y = 0 is divided out
@@ -119,9 +122,14 @@ def torsion_polynomial(rho: DrinfeldModule, a: Poly, strip_trivial_root: bool = 
     constant term a(T)."""
     if a.degree < 1:
         raise ValueError("torsion requires a nonconstant polynomial")
-    op = rho_eval(rho, a)
     f = rho.field
     q = f.q
+    if q ** (rho.rank * a.degree) > TORSION_LIMIT:
+        raise ValueError(
+            f"the a-torsion polynomial has degree {q}^{rho.rank * a.degree}, "
+            f"more than the limit of {TORSION_LIMIT}"
+        )
+    op = rho_eval(rho, a)
     coeffs = [Poly.zero(f)] * (q**op.degree + 1)
     for i, b in enumerate(op.coeffs):
         coeffs[q**i] = b

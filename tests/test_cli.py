@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ffequiv import twisted
 from ffequiv.cli import _read_pair_source, load_pair, main
 
 DEG8_REPORT = """\
@@ -57,10 +58,22 @@ def test_torsion_invariant_violation(capsys):
     assert "a_0 must equal T" in err
 
 
-def test_torsion_parse_error(capsys):
+def test_torsion_parse_error(capsys, monkeypatch):
     rc, _, err = run(capsys, ["torsion", "--p", "3", "--rho", "tau^2 +", "--a", "T"])
     assert rc == 2
     assert err.startswith("error:")
+
+    # an oversized torsion degree is refused before rho_a is evaluated
+    def refuse(*args):
+        raise AssertionError("rho_eval started")
+
+    monkeypatch.setattr(twisted, "rho_eval", refuse)
+    for p, a in (("3", "T^40"), ("2", "T^11")):
+        rc, out, err = run(capsys, ["torsion", "--p", p, "--rho", "tau^2 + T*tau + T", "--a", a])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: the a-torsion polynomial has degree")
+        assert err.count("\n") == 1
 
 
 def test_deeply_nested_expression_is_bad_input(capsys):

@@ -6,6 +6,7 @@ from ffequiv.fields import extension_field, prime_field
 from ffequiv.gassmann import (
     MatElem,
     Subgroup,
+    _are_conjugate,
     build_gl,
     conjugacy_classes,
     example1_subgroups,
@@ -18,6 +19,39 @@ F2 = prime_field(2)
 F3 = prime_field(3)
 F4 = extension_field(2, degree=2)
 F5 = prime_field(5)
+
+
+def _classes_by_all_conjugators(G):
+    # reference for the orbit routine: conjugate each new element by all of G
+    seen = set()
+    out = []
+    for i, x in enumerate(G.elements):
+        if i in seen:
+            continue
+        members = frozenset(G.index[G.mul(G.mul(g, x), G.inv(g))] for g in G.elements)
+        seen |= members
+        out.append((x, len(members), members))
+    return out
+
+
+def _fixed_cosets(G, H):
+    # reference for the class-count formula: list the cosets xH and count
+    # those that each class representative maps to themselves
+    cosets = {frozenset(G.mul(x, h) for h in H.members) for x in G.elements}
+    return [
+        sum(1 for c in cosets if G.mul(rep, next(iter(c))) in c)
+        for rep, _, _ in G.conjugacy_classes()
+    ]
+
+
+def _conjugate_by_members(G, H, Hp):
+    # reference for _are_conjugate: conjugate every member of H, not just its generators
+    if len(H) != len(Hp):
+        return False
+    return any(
+        all(G.mul(G.mul(g, h), G.inv(g)) in Hp.member_set for h in H.members)
+        for g in G.elements
+    )
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +135,9 @@ def test_example1_subgroups(gl2_f3):
 
 
 def test_conjugacy_classes(gl2_f3):
+    groups = (gl2_f3, build_gl(2, F4), build_gl(2, F3, scalar_generator=F3(2)))
+    for G in groups:
+        assert G.conjugacy_classes() == _classes_by_all_conjugators(G)
     classes = conjugacy_classes(gl2_f3)
     assert len(classes) == 8
     assert sum(size for _, size in classes) == 48
@@ -128,6 +165,13 @@ def test_certificate_self_pair(ex1_f3):
     cert = verify_gassmann(h.parent, h, h)
     assert cert.is_gassmann
     assert not cert.is_nontrivial
+    triples = [(h.parent, *ex1_f3)]
+    for n, field in ((2, F4), (3, F2), (2, F2)):
+        G = build_gl(n, field)
+        triples.append((G, *stabilizer_pair(G)))
+    for G, H, Hp in triples:
+        for a, b in ((H, Hp), (Hp, H), (H, H)):
+            assert _are_conjugate(G, a, b) == _conjugate_by_members(G, a, b)
 
 
 def test_certificate_gl2_f4():
@@ -163,13 +207,12 @@ def test_fixpoint_identity_and_full_subgroup(gl2_f3):
 
 
 def test_fixpoint_formula_crosscheck(gl2_f3, ex1_f3):
-    # fix(g) = |G| / (|H| * |class|) * |class intersect H|
-    h, _ = ex1_f3
-    counts = permutation_character_fixpoints(gl2_f3, h)
-    hset = set(h.members)
-    for (rep, size, members), got in zip(gl2_f3.conjugacy_classes(), counts):
-        inter = sum(1 for i in members if gl2_f3.elements[i] in hset)
-        assert got * len(h) * size == len(gl2_f3) * inter
+    # the library's |G| * |C & H| / (|C| * |H|) against fixed cosets counted one by one
+    pairs = [(gl2_f3, H) for H in ex1_f3]
+    for G in (build_gl(2, F4), build_gl(2, F3, scalar_generator=F3(2))):
+        pairs += [(G, H) for H in stabilizer_pair(G)]
+    for G, H in pairs:
+        assert permutation_character_fixpoints(G, H) == _fixed_cosets(G, H)
 
 
 def test_burnside(gl2_f3, ex1_f3):
