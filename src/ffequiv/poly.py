@@ -15,7 +15,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Sequence
 
 from .fields import FieldElement, FiniteField
 
@@ -221,7 +221,8 @@ class Poly(_Dense):
         db = other.degree
         if self.degree < db:
             return Poly(f, ()), self
-        inv = other.leading.inverse()
+        lead = other.coeffs[-1]
+        inv = None if lead.is_one else lead.inverse()  # monic divisors are the common case
         rem = list(self.coeffs)
         bq = other.coeffs
         quot = [f.zero] * (len(rem) - db)
@@ -229,7 +230,7 @@ class Poly(_Dense):
             c = rem[k + db]
             if c.is_zero:
                 continue
-            qc = c * inv
+            qc = c if inv is None else c * inv
             quot[k] = qc
             for j, bc in enumerate(bq):
                 if not bc.is_zero:
@@ -307,16 +308,62 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
+    """base^e mod mod by left-to-right square-and-multiply: for e >= 1,
+    bit_length(e) - 1 squarings and popcount(e) - 1 products."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = Poly.one(base.field)
     base = base % mod
-    while e:
-        if e & 1:
+    if e == 0:
+        return Poly.one(base.field)
+    result = base
+    for bit in bin(e)[3:]:
+        result = result * result % mod
+        if bit == "1":
             result = result * base % mod
-        base = base * base % mod
-        e >>= 1
     return result
+
+
+def _frobenius_powers(f: Poly) -> Generator[Poly, Poly | None, None]:
+    """x^q, x^(q^2), x^(q^3), ... mod the monic f, without end.
+
+    A caller may ``send`` a monic divisor of f in place of calling ``next``;
+    that power and all later ones are then reduced mod the divisor.
+
+    The first power is a ``pow_mod``.  Since h -> h^q is F_q-linear on
+    F_q[y]/(f), a later one can be the matrix-vector product
+    h^q = sum_i h_i * x^(q*i) mod f.  Building those n = deg f rows costs
+    n - 2 products mod f, so ``pow_mod`` steps go on until they have cost
+    that much, and only a caller that wants more powers pays for the rows:
+    no input costs much over twice what ``pow_mod`` alone would.
+    """
+    field = f.field
+    q = field.q
+    step = q.bit_length() + bin(q).count("1") - 2  # products in one pow_mod
+    xq = h = pow_mod(Poly.x(field), q, f)
+    spent = step
+    rows = None
+    while True:
+        divisor = yield h
+        if divisor is not None and divisor.degree < f.degree:
+            f = divisor
+            h, xq = h % f, xq % f
+            if rows is not None:
+                rows = [r % f for r in rows[: f.degree]]
+        n = f.degree
+        if rows is None and spent >= n - 2:
+            rows = [Poly.one(field), xq]
+            for _ in range(n - 2):
+                rows.append(rows[-1] * xq % f)
+        if rows is None:
+            h = pow_mod(h, q, f)
+            spent += step
+            continue
+        out = [field.zero] * n
+        for c, row in zip(h.coeffs, rows):
+            if not c.is_zero:
+                for j, r in enumerate(row.coeffs):
+                    out[j] = out[j] + c * r
+        h = Poly(field, out)
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -342,16 +389,12 @@ def is_irreducible(f: Poly) -> bool:
     if n == 1:
         return True
     f = f.monic()
-    field = f.field
-    q = field.q
-    x = Poly.x(field)
+    x = Poly.x(f.field)
     need = {n // l for l in _prime_divisors(n)}
-    h = x % f
-    for i in range(1, n + 1):
-        h = pow_mod(h, q, f)
+    for i, h in enumerate(itertools.islice(_frobenius_powers(f), n), 1):
         if i in need and poly_gcd(h - x, f).degree != 0:
             return False
-    return h == x % f
+    return h == x
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +478,17 @@ def _squarefree_parts(f: Poly) -> list[tuple[int, Poly]]:
 
 def _distinct_degree(f: Poly) -> list[tuple[int, Poly]]:
     """f monic squarefree -> [(d, product of its degree-d factors)]."""
-    field = f.field
-    q = field.q
-    x = Poly.x(field)
+    x = Poly.x(f.field)
+    powers = _frobenius_powers(f)
+    rest = None  # what is left of f, once a factor is split off
     out = []
-    h = x % f
     d = 0
     while f.degree >= 2 * (d + 1):
         d += 1
-        h = pow_mod(h, q, f)
-        g = poly_gcd(h - x, f)
+        g = poly_gcd(powers.send(rest) - x, f)
         if g.degree > 0:
             out.append((d, g))
-            f = f // g
-            h = h % f
+            f = rest = f // g
     if f.degree > 0:
         out.append((f.degree, f))
     return out
@@ -527,15 +567,15 @@ def _irr_digits(field: FiniteField, d: int) -> list[tuple[int, ...]]:
     if got is not None:
         return got
     q = field.q
-    if d == 1:
-        res = [(c,) for c in range(q)]
-        _IRR_DIGITS[key] = res
-        return res
     if q**d > SIEVE_LIMIT:
         raise ValueError(
             f"listing degree-{d} irreducibles over GF({q}) sieves {q}^{d} candidates, "
             f"more than the limit of {SIEVE_LIMIT}"
         )
+    if d == 1:
+        res = [(c,) for c in range(q)]
+        _IRR_DIGITS[key] = res
+        return res
     add, mul = _field_tables(field)
     mark = bytearray(q**d)
     for e in range(1, d // 2 + 1):

@@ -331,6 +331,20 @@ def test_primes_bad_degree(capsys):
         "error: listing degree-40 irreducibles over GF(2) sieves 2^40 candidates, "
         "more than the limit of 16777216\n"
     )
+    # a prime p above the sieve limit, found prime at once by Miller-Rabin
+    rc, _, err = run(capsys, ["primes", "--p", "1000000000000000003", "--degree", "1"])
+    assert rc == 2
+    assert err == (
+        "error: listing degree-1 irreducibles over GF(1000000000000000003) sieves "
+        "1000000000000000003^1 candidates, more than the limit of 16777216\n"
+    )
+    # a p whose primality Miller-Rabin on bases 2..41 does not decide
+    rc, _, err = run(capsys, ["primes", "--p", str(10**30 + 57), "--degree", "1"])
+    assert rc == 2
+    assert err == (
+        f"error: cannot decide whether {10**30 + 57} is prime: "
+        "the limit is 3317044064679887385961981\n"
+    )
 
 
 def test_no_subcommand():

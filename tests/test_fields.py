@@ -1,9 +1,10 @@
+import math
 import pickle
 import random
 
 import pytest
 
-from ffequiv.fields import prime_field, extension_field, is_prime
+from ffequiv.fields import PRIME_LIMIT, extension_field, is_prime, prime_field
 
 
 def sample_fields():
@@ -215,3 +216,38 @@ def test_pickle_round_trip():
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    # Miller-Rabin agrees with a sieve of Eratosthenes below 10^5
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_large():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..23, Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 561, 41041):
+        assert not is_prime(n)
+    # strong pseudoprime to every prime base up to 37: only base 41 catches it
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) ** 2)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+    assert not is_prime(PRIME_LIMIT - 1)
+
+
+def test_is_prime_refuses_above_limit():
+    class Untouchable(int):
+        # any arithmetic on n would mean a test loop had started
+        def __mod__(self, other):
+            raise AssertionError("n was reduced")
+
+        __rmod__ = __pow__ = __rpow__ = __sub__ = __and__ = __rsub__ = __mod__
+
+    for n in (PRIME_LIMIT, 10**400):
+        with pytest.raises(ValueError, match="cannot decide whether"):
+            is_prime(Untouchable(n))
+    with pytest.raises(ValueError, match="cannot decide whether"):
+        prime_field(PRIME_LIMIT + 2)

@@ -9,6 +9,7 @@ from ffequiv.poly import (
     factor,
     is_irreducible,
     monic_irreducibles,
+    _distinct_degree,
     poly_gcd,
     pow_mod,
     random_irreducible,
@@ -18,11 +19,18 @@ F2 = prime_field(2)
 F3 = prime_field(3)
 F4 = extension_field(2, degree=2)
 F9 = extension_field(3, degree=2)
+F243 = extension_field(3, degree=5)
+F1024 = extension_field(2, degree=10)
 
 
 def P(field, *ints):
     """Polynomial from integer coefficients, low degree first."""
     return Poly.from_ints(field, ints)
+
+
+def _digits(packed, q, d):
+    """The d base-q digits of packed, least significant first."""
+    return [packed // q**i % q for i in range(d)]
 
 
 def test_ring_ops_examples():
@@ -110,6 +118,13 @@ def test_is_irreducible_examples():
     assert not is_irreducible(P(F2, 1, 0, 1))                # (T+1)^2
     with pytest.raises(ValueError):
         is_irreducible(Poly.one(F3))
+    # Rabin against the sieve on every monic polynomial of degree 8 over F_2
+    # and 6 over F_3: both the pow_mod and the matrix Frobenius steps run
+    for field, d in ((F2, 8), (F3, 6)):
+        irreducibles = set(monic_irreducibles(field, d))
+        for packed in range(field.q**d):
+            f = Poly.from_indices(field, _digits(packed, field.q, d) + [1])
+            assert is_irreducible(f) == (f in irreducibles), f
 
 
 def test_factor_small_examples():
@@ -254,6 +269,64 @@ def test_pow_mod():
     f = P(F3, 1, 0, 1)
     assert pow_mod(Poly.x(F3), 9, f) == Poly.x(F3) % f  # Frobenius fixes F_9
     assert pow_mod(Poly.x(F3), 0, f).is_one
+    rng = random.Random(5)
+    for field in (F2, F3, F9):
+        for _ in range(2):
+            m = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(4)] + [rng.randrange(1, field.q)])
+            b = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(3)])
+            for e in range(41):
+                assert pow_mod(b, e, m) == (b**e) % m, (field, e)
+
+
+def _pow_mod_reference(base, e, mod):
+    """Right-to-left square-and-multiply, as pow_mod was first written."""
+    result = Poly.one(base.field)
+    base = base % mod
+    while e:
+        if e & 1:
+            result = result * base % mod
+        base = base * base % mod
+        e >>= 1
+    return result
+
+
+def _distinct_degree_reference(f):
+    """Distinct-degree factorization with one square-and-multiply
+    Frobenius step per degree, reduced mod the shrinking f."""
+    q = f.field.q
+    x = Poly.x(f.field)
+    out = []
+    h = x % f
+    d = 0
+    while f.degree >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod_reference(h, q, f)
+        g = poly_gcd(h - x, f)
+        if g.degree > 0:
+            out.append((d, g))
+            f = f // g
+            h = h % f
+    if f.degree > 0:
+        out.append((f.degree, f))
+    return out
+
+
+def test_distinct_degree_matches_reference():
+    rng = random.Random(3)
+    for field, n, trials in ((F3, 8, 40), (F9, 8, 20), (F243, 8, 4), (F1024, 15, 2)):
+        done = 0
+        while done < trials:
+            f = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(n)] + [1])
+            if not poly_gcd(f, f.derivative()).is_one:
+                continue
+            assert _distinct_degree(f) == _distinct_degree_reference(f), f
+            done += 1
+    # shrinking moduli: products of irreducibles of mixed degrees
+    for field, degs in ((F9, (1, 2, 12)), (F243, (2, 3, 6)), (F1024, (1, 1, 5, 8))):
+        f = Poly.one(field)
+        for s, d in enumerate(degs):
+            f = f * random_irreducible(field, d, seed=s)
+        assert _distinct_degree(f) == _distinct_degree_reference(f), f
 
 
 def test_factorization_degrees():
