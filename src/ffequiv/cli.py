@@ -161,7 +161,7 @@ def _render_prime(P: Poly) -> str:
     if P.field.m == 1:
         return render_tpoly(P)
     # extension coefficients shown by element index
-    return " + ".join(_int_monomials([c.index for c in P.coeffs], "T"))
+    return " + ".join(_int_monomials(P.coeffs, "T"))
 
 
 def cmd_primes(args) -> int:

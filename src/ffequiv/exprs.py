@@ -277,7 +277,7 @@ def parse(text: str, mode: str, field: FiniteField):
 def parse_modulus(text: str, p: int) -> list[int]:
     """Parse a polynomial in x over F_p and return its integer coefficients."""
     poly = parse(text, "x_poly", prime_field(p))
-    return [c.coeffs[0] for c in poly.coeffs]
+    return list(poly.coeffs)
 
 
 def parse_element(text: str, field: FiniteField) -> FieldElement:
@@ -309,7 +309,7 @@ def render_tpoly(poly: Poly, var: str = "T") -> str:
     """Canonical rendering of a polynomial over a prime field."""
     if poly.field.m != 1:
         raise ValueError("render_tpoly requires a prime base field")
-    parts = _int_monomials([c.coeffs[0] for c in poly.coeffs], var)
+    parts = _int_monomials(poly.coeffs, var)
     return " + ".join(parts) if parts else "0"
 
 
@@ -339,7 +339,7 @@ def _render_over_t(poly, outer: str, name: str) -> str:
     return _graded_render(
         poly.coeffs,
         outer,
-        lambda c: _int_monomials([e.coeffs[0] for e in c.coeffs], "T"),
+        lambda c: _int_monomials(c.coeffs, "T"),
         lambda c: c.is_one,
     )
 
@@ -364,6 +364,6 @@ def render_residue_poly(poly: Poly, var: str = "y") -> str:
     return _graded_render(
         poly.coeffs,
         var,
-        lambda c: _int_monomials(c.coeffs, "T"),
-        lambda c: c == f.one,
+        lambda c: _int_monomials(f.unpack(c), "T"),
+        lambda c: c == 1,
     )

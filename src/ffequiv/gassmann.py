@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldElement, FiniteField
+from .fields import FieldElement, FiniteField, _smallest_generator
 
 
 class MatElem:
@@ -149,15 +149,6 @@ class MatElem:
 
     def __repr__(self):
         return f"MatElem({self.render()} over {self.field!r})"
-
-
-def _smallest_generator(field: FiniteField) -> FieldElement:
-    target = field.q - 1
-    for i in range(1, field.q):
-        a = field.from_index(i)
-        if a.multiplicative_order() == target:
-            return a
-    raise AssertionError("multiplicative group has no generator")
 
 
 def _orbit(x, step) -> set:

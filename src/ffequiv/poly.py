@@ -5,6 +5,9 @@ factorization (squarefree / distinct-degree / equal-degree), and enumeration
 of monic irreducibles.  Instantiated over F_q with the variable read as T,
 this ring is A = F_q[T]; instantiated over a residue field with variable y it
 is where reductions get factored.
+
+A :class:`Poly` holds each coefficient as its integer index in the field
+(see :mod:`ffequiv.fields`) and computes with the field's int kernels.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Generator, Iterable, Sequence
 
-from .fields import FieldElement, FiniteField
+from .fields import FieldElement, FiniteField, _prime_divisors
 
 
 class _Dense:
@@ -38,7 +40,7 @@ class _Dense:
 
     def __init__(self, field: FiniteField, coeffs: Iterable = ()):
         cs = list(coeffs)
-        while cs and cs[-1].is_zero:
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -139,10 +141,6 @@ class _Dense:
             return type(self)(f, ())
         nza = [i for i, c in enumerate(a) if not c.is_zero]
         nzb = [(j, c) for j, c in enumerate(b) if not c.is_zero]
-        if len(nza) * len(nzb) > 4096:
-            fast = self._mul_large(a, b)
-            if fast is not None:
-                return fast
         out = [self._czero(f)] * (len(a) + len(b) - 1)
         twist = self._twist
         for i in nza:
@@ -151,11 +149,6 @@ class _Dense:
             for j, cb in row:
                 out[i + j] = out[i + j] + ca * cb
         return type(self)(f, out)
-
-    def _mul_large(self, a: tuple, b: tuple):
-        """Product of two coefficient tuples by a faster route than the
-        schoolbook loop, or None where there is none."""
-        return None
 
     def __pow__(self, e: int):
         if e < 0:
@@ -177,39 +170,151 @@ class _Dense:
         return f"{type(self).__name__}[{', '.join(repr(c) for c in self.coeffs)}]"
 
 
+def _mk(field: FiniteField, cs: list[int]) -> "Poly":
+    """The Poly with coefficient indices cs, which are trimmed in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    out = object.__new__(Poly)
+    out.field = field
+    out.coeffs = tuple(cs)
+    return out
+
+
 class Poly(_Dense):
-    """Polynomial with coefficients in a finite field."""
+    """Polynomial with coefficients in a finite field.
+
+    ``coeffs`` holds each coefficient's integer index in the field.  The
+    constructor also takes FieldElements; ``leading``, ``coeff`` and
+    evaluation give FieldElements back.
+    """
 
     __slots__ = ()
-    _czero = attrgetter("zero")
-    _cone = attrgetter("one")
+    _czero = staticmethod(lambda field: 0)
+    _cone = staticmethod(lambda field: 1)
     _scalar = FieldElement
+
+    def __init__(self, field: FiniteField, coeffs: Iterable = ()):
+        cs = []
+        q = field.q
+        for c in coeffs:
+            if isinstance(c, FieldElement):
+                if c.field != field:
+                    raise ValueError(f"coefficient from {c.field!r}, not {field!r}")
+                c = c.index
+            elif not 0 <= c < q:
+                raise ValueError(f"index {c} out of range for field of order {q}")
+            cs.append(c)
+        super().__init__(field, cs)
 
     @classmethod
     def from_ints(cls, field: FiniteField, ints: Sequence[int]) -> "Poly":
         """Coefficients given as integers, embedded as constants mod p."""
-        return cls(field, [field(v) for v in ints])
+        p = field.p
+        return _mk(field, [v % p for v in ints])
 
     @classmethod
     def from_indices(cls, field: FiniteField, idxs: Sequence[int]) -> "Poly":
         """Coefficients given by their integer encoding in the field."""
-        return cls(field, [field.from_index(v) for v in idxs])
+        return cls(field, idxs)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].is_one
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    @property
+    def is_one(self) -> bool:
+        return self.coeffs == (1,)
+
+    @property
+    def leading(self) -> FieldElement:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.field.from_index(self.coeffs[-1])
+
+    def coeff(self, i: int) -> FieldElement:
+        return self.field.from_index(self.coeffs[i] if 0 <= i < len(self.coeffs) else 0)
+
+    def __add__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        f = self.field
+        if other.field is not f:
+            self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        add = f.add
+        out = list(a)
+        for i, c in enumerate(b):
+            if c:
+                out[i] = add(out[i], c)
+        return _mk(f, out)
+
+    def __sub__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        f = self.field
+        if other.field is not f:
+            self._check(other)
+        a, b = self.coeffs, other.coeffs
+        sub = f.sub
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            if c:
+                out[i] = sub(out[i], c)
+        return _mk(f, out)
+
+    def __neg__(self):
+        neg = self.field.neg
+        return _mk(self.field, [neg(c) for c in self.coeffs])
+
+    def scale(self, c: FieldElement) -> "Poly":
+        """Coefficient-wise product with the scalar c."""
+        if c.field != self.field:
+            raise ValueError("scalar from a different field")
+        return self._scale(c.index)
+
+    def _scale(self, c: int) -> "Poly":
+        if c == 1:
+            return self
+        f = self.field
+        if not c:
+            return _mk(f, [])
+        mul = f.mul
+        return _mk(f, [mul(a, c) for a in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, FieldElement):
+            return self.scale(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        f = self.field
+        if other.field is not f:
+            self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _mk(f, [])
+        if a is b and f.p == 2:  # squaring is additive in characteristic 2
+            mul = f.mul
+            out = [0] * (2 * len(a) - 1)
+            out[::2] = [mul(c, c) for c in a]
+            return _mk(f, out)
+        if (
+            f.m == 1
+            and (len(a) - a.count(0)) * (len(b) - b.count(0)) > 4096
+            and (f.p - 1) ** 2 * min(len(a), len(b)) < (1 << 32)
+        ):
+            return _mk(f, _int_convolve(a, b, f.p))
+        out = [0] * (len(a) + len(b) - 1)
+        addmul = f.addmul
+        for i, c in enumerate(a):
+            if c:
+                addmul(out, c, b, i)
+        return _mk(f, out)
 
     # Set on this class itself, so a wrapper (perfbench/tracer.py) can
-    # replace Poly's product alone.
-    __mul__ = _Dense.__mul__
+    # replace Poly's reflected product alone.
     __rmul__ = __mul__
-
-    def _mul_large(self, a, b):
-        f = self.field
-        if f.m != 1 or (f.p - 1) ** 2 * min(len(a), len(b)) >= (1 << 32):
-            return None
-        prod = _int_convolve([c.coeffs[0] for c in a], [c.coeffs[0] for c in b], f.p)
-        return Poly(f, [FieldElement(f, (v,)) for v in prod])
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
@@ -218,24 +323,23 @@ class Poly(_Dense):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        db = other.degree
-        if self.degree < db:
-            return Poly(f, ()), self
-        lead = other.coeffs[-1]
-        inv = None if lead.is_one else lead.inverse()  # monic divisors are the common case
-        rem = list(self.coeffs)
         bq = other.coeffs
-        quot = [f.zero] * (len(rem) - db)
+        db = len(bq) - 1
+        rem = list(self.coeffs)
+        if len(rem) <= db:
+            return _mk(f, []), self
+        lead = bq[-1]
+        inv = None if lead == 1 else f.inv(lead)  # monic divisors are the common case
+        mul, neg, addmul = f.mul, f.neg, f.addmul
+        quot = [0] * (len(rem) - db)
         for k in range(len(rem) - db - 1, -1, -1):
             c = rem[k + db]
-            if c.is_zero:
+            if not c:
                 continue
-            qc = c if inv is None else c * inv
+            qc = c if inv is None else mul(c, inv)
             quot[k] = qc
-            for j, bc in enumerate(bq):
-                if not bc.is_zero:
-                    rem[k + j] = rem[k + j] - qc * bc
-        return Poly(f, quot), Poly(f, rem[:db])
+            addmul(rem, neg(qc), bq, k)  # clears rem[k + db]
+        return _mk(f, quot), _mk(f, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -246,17 +350,24 @@ class Poly(_Dense):
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        if self.leading.is_one:
-            return self
-        return self.scale(self.leading.inverse())
+        lead = self.coeffs[-1]
+        return self if lead == 1 else self._scale(self.field.inv(lead))
+
+    def derivative(self) -> "Poly":
+        f = self.field
+        p, mul = f.p, f.mul
+        return _mk(f, [mul(c, i % p) for i, c in enumerate(self.coeffs) if i])
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        if x.field != self.field:
+        f = self.field
+        if x.field != f:
             raise ValueError("evaluation point from a different field")
-        acc = self.field.zero
+        xi = x.index
+        add, mul = f.add, f.mul
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = add(mul(acc, xi), c)
+        return f.from_index(acc)
 
     def __repr__(self):
         if self.is_zero:
@@ -264,13 +375,13 @@ class Poly(_Dense):
         parts = []
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
-            if c.is_zero:
+            if not c:
                 continue
-            cs = str(c)
+            cs = str(self.field.from_index(c))
             var = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
             if i == 0:
                 parts.append(cs)
-            elif c.is_one:
+            elif c == 1:
                 parts.append(var)
             else:
                 parts.append(f"{cs}*{var}" if "+" not in cs else f"({cs})*{var}")
@@ -280,7 +391,7 @@ class Poly(_Dense):
 _U32_OK = array("I").itemsize == 4
 
 
-def _int_convolve(a: list[int], b: list[int], p: int) -> list[int]:
+def _int_convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Exact convolution of small nonnegative sequences via one big-integer
     multiply; each 32-bit slot holds one coefficient, carry-free by the
     caller's bound check."""
@@ -358,26 +469,12 @@ def _frobenius_powers(f: Poly) -> Generator[Poly, Poly | None, None]:
             h = pow_mod(h, q, f)
             spent += step
             continue
-        out = [field.zero] * n
+        addmul = field.addmul
+        out = [0] * n
         for c, row in zip(h.coeffs, rows):
-            if not c.is_zero:
-                for j, r in enumerate(row.coeffs):
-                    out[j] = out[j] + c * r
-        h = Poly(field, out)
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+            if c:
+                addmul(out, c, row.coeffs, 0)
+        h = _mk(field, out)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -427,7 +524,7 @@ class Factorization:
 
 
 def _canon_key(p: Poly):
-    return (p.degree, tuple(c.index for c in reversed(p.coeffs)))
+    return (p.degree, p.coeffs[::-1])
 
 
 def _pth_root(g: Poly) -> Poly:
@@ -436,13 +533,14 @@ def _pth_root(g: Poly) -> Poly:
     field = g.field
     p = field.p
     e = field.p ** (field.m - 1)
+    power = field.pow
     cs = []
     for i, c in enumerate(g.coeffs):
         if i % p == 0:
-            cs.append(c**e)
-        elif not c.is_zero:
+            cs.append(power(c, e))
+        elif c:
             raise ValueError("not a p-th power")
-    return Poly(field, cs)
+    return _mk(field, cs)
 
 
 def _squarefree_parts(f: Poly) -> list[tuple[int, Poly]]:
@@ -502,7 +600,7 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     field = f.field
     q = field.q
     while True:
-        u = Poly.from_indices(field, [rng.randrange(q) for _ in range(f.degree)])
+        u = _mk(field, [rng.randrange(q) for _ in range(f.degree)])
         if u.degree < 1:
             continue
         g = poly_gcd(u, f)
@@ -544,26 +642,25 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 # enumeration of monic irreducibles
 
 SIEVE_LIMIT = 1 << 24  # most candidates (q^d) that monic_irreducibles sieves
-_IRR_DIGITS: dict[tuple[FiniteField, int], list[tuple[int, ...]]] = {}
-_TABLES: dict[FiniteField, tuple[list[list[int]], list[list[int]]]] = {}
+# packed lower coefficients sum(c_i * q^i), i < d, of the degree-d monic irreducibles
+_IRR_PACKED: dict[tuple[FiniteField, int], array] = {}
 
 
-def _field_tables(field: FiniteField):
-    got = _TABLES.get(field)
-    if got is None:
-        elems = [field.from_index(i) for i in range(field.q)]
-        add = [[(a + b).index for b in elems] for a in elems]
-        mul = [[(a * b).index for b in elems] for a in elems]
-        got = _TABLES[field] = (add, mul)
-    return got
+def _digits(idx: int, q: int, d: int) -> list[int]:
+    out = []
+    for _ in range(d):
+        idx, c = divmod(idx, q)
+        out.append(c)
+    return out
 
 
-def _irr_digits(field: FiniteField, d: int) -> list[tuple[int, ...]]:
-    """Digit tuples (c_0..c_{d-1}, leading 1 implied) of the monic
-    irreducibles of degree d, by sieving out products of lower-degree monic
-    polynomials.  Output sorted leading coefficient first."""
+def _irr_packed(field: FiniteField, d: int) -> array:
+    """The monic irreducibles of degree d, each packed as the base-q number
+    of its lower coefficients (c_0..c_{d-1}, leading 1 implied), found by
+    sieving out products of lower-degree monic polynomials.  Ascending, so
+    sorted by coefficients from the leading end."""
     key = (field, d)
-    got = _IRR_DIGITS.get(key)
+    got = _IRR_PACKED.get(key)
     if got is not None:
         return got
     q = field.q
@@ -573,51 +670,35 @@ def _irr_digits(field: FiniteField, d: int) -> list[tuple[int, ...]]:
             f"more than the limit of {SIEVE_LIMIT}"
         )
     if d == 1:
-        res = [(c,) for c in range(q)]
-        _IRR_DIGITS[key] = res
+        res = _IRR_PACKED[key] = array("I", range(q))
         return res
-    add, mul = _field_tables(field)
+    add, mul, addmul = field.add, field.mul, field.addmul
     mark = bytearray(q**d)
     for e in range(1, d // 2 + 1):
         de = d - e
-        for u in _irr_digits(field, e):
+        for packed in _irr_packed(field, e):
             if e == 1:
-                crow = mul[u[0]]
-                cc = u[0]
+                cc = packed
                 for v in itertools.product(range(q), repeat=de):
                     # (x + c) * (v + x^de), leading digit dropped
-                    idx = add[v[de - 1]][cc]
+                    idx = add(v[de - 1], cc)
                     for j in range(de - 1, 0, -1):
-                        idx = idx * q + add[v[j - 1]][crow[v[j]]]
-                    idx = idx * q + crow[v[0]]
+                        idx = idx * q + add(v[j - 1], mul(cc, v[j]))
+                    idx = idx * q + mul(cc, v[0])
                     mark[idx] = 1
             else:
-                uu = u + (1,)
+                uu = _digits(packed, q, e) + [1]
                 for v in itertools.product(range(q), repeat=de):
                     vv = v + (1,)
-                    acc = [0] * d
+                    acc = [0] * (d + 1)
                     for i, ui in enumerate(uu):
                         if ui:
-                            mrow = mul[ui]
-                            for j, vj in enumerate(vv):
-                                if vj:
-                                    k = i + j
-                                    if k < d:
-                                        acc[k] = add[acc[k]][mrow[vj]]
+                            addmul(acc, ui, vv, i)
                     idx = 0
-                    for c in reversed(acc):
+                    for c in reversed(acc[:d]):
                         idx = idx * q + c
                     mark[idx] = 1
-    res = []
-    for idx in range(q**d):
-        if not mark[idx]:
-            ds = []
-            t = idx
-            for _ in range(d):
-                ds.append(t % q)
-                t //= q
-            res.append(tuple(ds))
-    _IRR_DIGITS[key] = res
+    res = _IRR_PACKED[key] = array("I", (idx for idx in range(q**d) if not mark[idx]))
     return res
 
 
@@ -626,7 +707,8 @@ def monic_irreducibles(field: FiniteField, d: int) -> list[Poly]:
     from the leading end."""
     if d < 1:
         raise ValueError("degree must be positive")
-    return [Poly.from_indices(field, ds + (1,)) for ds in _irr_digits(field, d)]
+    q = field.q
+    return [_mk(field, _digits(idx, q, d) + [1]) for idx in _irr_packed(field, d)]
 
 
 def random_irreducible(field: FiniteField, d: int, seed: int = 0) -> Poly:
@@ -637,6 +719,6 @@ def random_irreducible(field: FiniteField, d: int, seed: int = 0) -> Poly:
     rng = random.Random(seed)
     q = field.q
     while True:
-        cand = Poly.from_indices(field, [rng.randrange(q) for _ in range(d)] + [1])
+        cand = _mk(field, [rng.randrange(q) for _ in range(d)] + [1])
         if is_irreducible(cand):
             return cand

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .exprs import render_tpoly
 from .fields import FiniteField, _rebuild_field
-from .poly import Poly, _distinct_degree, is_irreducible, monic_irreducibles, poly_gcd
+from .poly import Poly, _distinct_degree, _mk, is_irreducible, monic_irreducibles, poly_gcd
 from .twisted import YPoly
 
 
@@ -103,20 +103,23 @@ def _check_prime(P: Poly):
         raise ValueError("P must be irreducible")
 
 
-def _residue_field(base: FiniteField, P: Poly) -> FiniteField:
+def _residue_field(base: FiniteField, P: Poly, interned: bool = True) -> FiniteField:
     """F_q[T]/(P) for a prime P over the prime field base.  P is already
-    validated, so the interned field is taken without testing P again."""
+    validated, so the field is built without testing P again.  The batch
+    comparison asks for a field that is not interned, so that its tables
+    can be freed once its prime is done."""
     if base.m != 1:
         raise ValueError("reduction is implemented over prime base fields only")
     if P.field is not base:
         raise ValueError("P must live over the same base field as f")
     if P.degree == 1:
         return base
-    return _rebuild_field(base.p, tuple(c.coeffs[0] for c in P.coeffs))
+    return (_rebuild_field if interned else FiniteField)(base.p, P.coeffs)
 
 
 def _reduce(f: YPoly, P: Poly, res: FiniteField) -> Poly:
-    return Poly(res, [res.from_coeffs([e.coeffs[0] for e in (c % P).coeffs]) for c in f.coeffs])
+    # over a prime field a coefficient's index is its value
+    return _mk(res, [res.pack((c % P).coeffs) for c in f.coeffs])
 
 
 def _classify(f: YPoly, P: Poly, res: FiniteField) -> SideResult:
@@ -152,7 +155,7 @@ def split_type(f: YPoly, P: Poly) -> SideResult:
 
 
 def _verdict_at(f: YPoly, g: YPoly, P: Poly) -> PrimeVerdict:
-    res = _residue_field(f.field, P)
+    res = _residue_field(f.field, P, interned=False)
     rf = _classify(f, P, res)
     rg = _classify(g, P, res)
     reason = None  # a degree drop on either side outranks a repeated factor
@@ -187,10 +190,20 @@ def irreducible_count(q: int, d: int) -> int:
     return total // d
 
 
+# Most primes one comparison takes: about 10 minutes at the 60 ms a prime
+# takes with residue fields of 3^10 elements, the largest that have tables.
+PRIME_COUNT_LIMIT = 10_000
+
 def _select_primes(field: FiniteField, selection: PrimeSelection, seed: int) -> list[Poly]:
     if isinstance(selection, Exhaustive):
         if selection.max_degree < 1:
             raise ValueError("empty prime selection")
+        total = sum(irreducible_count(field.q, d) for d in range(1, selection.max_degree + 1))
+        if total > PRIME_COUNT_LIMIT:
+            raise ValueError(
+                f"{total} primes have degree <= {selection.max_degree} over GF({field.q}), "
+                f"more than the limit of {PRIME_COUNT_LIMIT} for one comparison"
+            )
         out = []
         for d in range(1, selection.max_degree + 1):
             out.extend(monic_irreducibles(field, d))
@@ -205,6 +218,11 @@ def _select_primes(field: FiniteField, selection: PrimeSelection, seed: int) -> 
             raise ValueError(
                 f"requested {selection.count} primes of degree {selection.degree} "
                 f"but only {available} exist"
+            )
+        if selection.count > PRIME_COUNT_LIMIT:
+            raise ValueError(
+                f"{selection.count} sampled primes are more than the limit of "
+                f"{PRIME_COUNT_LIMIT} for one comparison"
             )
         rng = random.Random(seed if selection.seed is None else selection.seed)
         q = field.q

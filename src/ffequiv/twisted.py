@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .fields import FiniteField
-from .poly import Poly, _Dense
+from .poly import Poly, _Dense, _mk
 
 
 def _frob_power(b: Poly, i: int) -> Poly:
@@ -22,11 +22,9 @@ def _frob_power(b: Poly, i: int) -> Poly:
     if i == 0 or b.degree < 1:
         return b
     step = b.field.q**i
-    out = [b.field.zero] * (b.degree * step + 1)
-    for j, c in enumerate(b.coeffs):
-        if not c.is_zero:
-            out[j * step] = c
-    return Poly(b.field, out)
+    out = [0] * (b.degree * step + 1)
+    out[::step] = b.coeffs
+    return _mk(b.field, out)
 
 
 class _OverFqT(_Dense):

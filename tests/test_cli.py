@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ffequiv import twisted
+from ffequiv import splitting, twisted
 from ffequiv.cli import _read_pair_source, load_pair, main
 
 DEG8_REPORT = """\
@@ -201,6 +201,21 @@ def test_split_check_selection_flags_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["split-check", "--pair", "gl2_f3_deg8", "--max-degree", "1", "--samples", "2"])
     assert exc.value.code == 2
+
+
+def test_split_check_prime_count_cap(capsys, monkeypatch):
+    # 533 830 primes of degree <= 14 over F_3: refused before any sieving
+    def refuse(*args):
+        raise AssertionError("sieving started")
+
+    monkeypatch.setattr(splitting, "monic_irreducibles", refuse)
+    rc, out, err = run(capsys, ["split-check", "--pair", "gl2_f3_deg8", "--max-degree", "14"])
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: 533830 primes have degree <= 14 over GF(3), "
+        f"more than the limit of {splitting.PRIME_COUNT_LIMIT} for one comparison\n"
+    )
 
 
 def test_split_check_unknown_pair(capsys):

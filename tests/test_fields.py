@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from ffequiv.fields import PRIME_LIMIT, extension_field, is_prime, prime_field
+from ffequiv.fields import (
+    PRIME_LIMIT,
+    TABLE_LIMIT,
+    _smallest_generator,
+    extension_field,
+    is_prime,
+    prime_field,
+)
 
 
 def sample_fields():
@@ -251,3 +258,64 @@ def test_is_prime_refuses_above_limit():
             is_prime(Untouchable(n))
     with pytest.raises(ValueError, match="cannot decide whether"):
         prime_field(PRIME_LIMIT + 2)
+
+
+def _kernel_fields():
+    """One field of each kernel kind: prime, XOR tables, Zech tables, no tables."""
+    return {
+        "prime": [prime_field(7), prime_field(10007)],
+        "xor": [extension_field(2, degree=m) for m in (2, 3, 10)],
+        "zech": [extension_field(3, degree=2), extension_field(5, degree=2),
+                 extension_field(3, degree=3), extension_field(3, degree=5)],
+        "vector": [extension_field(2, degree=17)],
+    }
+
+
+def test_kernel_kinds_follow_table_limit():
+    for kind, fields in _kernel_fields().items():
+        for field in fields:
+            assert (field.m > 1 and field.q <= TABLE_LIMIT) == (kind in ("xor", "zech")), field
+
+
+def test_int_kernels_match_vector_arithmetic():
+    rng = random.Random(20261018)
+    for fields in _kernel_fields().values():
+        for field in fields:
+            q = field.q
+            if q <= 64:
+                pairs = [(a, b) for a in range(q) for b in range(q)]
+            else:
+                pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+            for a, b in pairs:
+                ea, eb = field.from_index(a), field.from_index(b)
+                assert field.add(a, b) == (ea + eb).index, (field, a, b)
+                assert field.sub(a, b) == (ea - eb).index, (field, a, b)
+                assert field.neg(a) == (-ea).index, (field, a)
+                assert field.mul(a, b) == (ea * eb).index, (field, a, b)
+                if b:
+                    assert (field.from_index(field.inv(b)) * eb).is_one, (field, b)
+                e = rng.randrange(3 * q)
+                assert field.pow(a, e) == (ea**e).index, (field, a, e)
+                # acc[1 + j] += c * row[j] for a nonzero c, next to untouched slots
+                c = a or 1
+                ec = field.from_index(c)
+                acc = [b, a, 0, b, a]
+                field.addmul(acc, c, [b, 0, a], 1)
+                want = [eb, ea + ec * eb, field.zero, eb + ec * ea, ea]
+                assert acc == [w.index for w in want], (field, a, b)
+
+
+def test_inverse_is_q_minus_2_power():
+    for field in (extension_field(2, degree=2), extension_field(3, degree=2),
+                  extension_field(3, degree=5), extension_field(2, degree=10)):
+        for i in range(1, field.q):
+            a = field.from_index(i)
+            assert a.inverse() == a ** (field.q - 2), (field, i)
+
+
+def test_smallest_generator_is_least_of_full_order():
+    for field in sample_fields() + [extension_field(5, degree=2), extension_field(3, degree=5)]:
+        g = _smallest_generator(field)
+        assert g.multiplicative_order() == field.q - 1
+        for i in range(1, g.index):
+            assert field.from_index(i).multiplicative_order() < field.q - 1

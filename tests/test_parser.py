@@ -199,7 +199,7 @@ def test_roundtrip_residue():
         v = Poly(f9, [f9.from_index(rng.randrange(9)) for _ in range(rng.randrange(1, 6))])
         back = parse(render_residue_poly(v), "y_poly", F3)
         lifted = [c % modulus for c in back.coeffs]
-        redone = [f9.from_coeffs([e.coeffs[0] for e in c.coeffs]) for c in lifted]
+        redone = [f9.from_coeffs(c.coeffs) for c in lifted]
         assert Poly(f9, redone) == v
 
 

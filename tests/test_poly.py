@@ -21,6 +21,7 @@ F4 = extension_field(2, degree=2)
 F9 = extension_field(3, degree=2)
 F243 = extension_field(3, degree=5)
 F1024 = extension_field(2, degree=10)
+F2_17 = extension_field(2, degree=17)  # too large for tables: vector kernels
 
 
 def P(field, *ints):
@@ -195,7 +196,7 @@ def test_factor_reassembly_random():
                 assert p_.is_monic
                 assert is_irreducible(p_)
             # canonical ordering: sorted by degree then coefficients from the top
-            keys = [(p_.degree, tuple(c.index for c in reversed(p_.coeffs))) for p_, _ in fac.factors]
+            keys = [(p_.degree, tuple(c for c in reversed(p_.coeffs))) for p_, _ in fac.factors]
             assert keys == sorted(keys)
             assert len(set(p_ for p_, _ in fac.factors)) == len(fac.factors)
 
@@ -250,11 +251,23 @@ def test_monic_irreducibles_are_irreducible_and_sorted():
     for field in (F2, F3, F9):
         for d in (1, 2, 3):
             polys = monic_irreducibles(field, d)
-            keys = [tuple(c.index for c in reversed(p_.coeffs)) for p_ in polys]
+            keys = [tuple(c for c in reversed(p_.coeffs)) for p_ in polys]
             assert keys == sorted(keys)
             for p_ in polys:
                 assert p_.is_monic and p_.degree == d
                 assert is_irreducible(p_)
+
+
+def test_monic_irreducibles_gf1024_degree_two():
+    # GF(1024) = F_2[x]/(x^10 + x^3 + 1): sieved with the field's int
+    # kernels, where q x q sum and product tables would hold 2 * 2^20 entries
+    field = extension_field(2, modulus=[1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
+    polys = monic_irreducibles(field, 2)
+    assert len(polys) == _necklace(1024, 2) == 523776
+    keys = [p_.coeffs[::-1] for p_ in polys]
+    assert keys == sorted(set(keys))
+    for p_ in random.Random(4).sample(polys, 20):
+        assert p_.degree == 2 and is_irreducible(p_)
 
 
 def test_random_irreducible():
@@ -313,13 +326,14 @@ def _distinct_degree_reference(f):
 
 def test_distinct_degree_matches_reference():
     rng = random.Random(3)
-    for field, n, trials in ((F3, 8, 40), (F9, 8, 20), (F243, 8, 4), (F1024, 15, 2)):
+    for field, n, trials in ((F3, 8, 40), (F9, 8, 20), (F243, 8, 4), (F1024, 15, 2), (F2_17, 6, 2)):
         done = 0
         while done < trials:
             f = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(n)] + [1])
             if not poly_gcd(f, f.derivative()).is_one:
                 continue
             assert _distinct_degree(f) == _distinct_degree_reference(f), f
+            assert factor(f).expand() == f, f
             done += 1
     # shrinking moduli: products of irreducibles of mixed degrees
     for field, degs in ((F9, (1, 2, 12)), (F243, (2, 3, 6)), (F1024, (1, 1, 5, 8))):

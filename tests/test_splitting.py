@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ffequiv import splitting
+from ffequiv import fields, splitting
 from ffequiv.cli import _read_pair_source, load_pair
 from ffequiv.exprs import parse, render_residue_poly
 from ffequiv.fields import extension_field, prime_field
@@ -280,6 +280,16 @@ def test_selection_errors(pair1):
     h = parse("y^2 + T", "y_poly", F5)
     with pytest.raises(ValueError, match="share a base field"):
         compare_split_types(f, h, Exhaustive(1))
+    with pytest.raises(ValueError, match="more than the limit"):
+        compare_split_types(f, g, Sampled(splitting.PRIME_COUNT_LIMIT + 1, 12))
+
+
+def test_comparison_interns_no_residue_field(pair1):
+    # each prime's residue field, with its tables, goes when the prime is done
+    f, g = pair1
+    before = set(fields._FIELD_CACHE)
+    compare_split_types(f, g, Exhaustive(3))
+    assert set(fields._FIELD_CACHE) == before
 
 
 def test_sampled_selection(pair1):
