@@ -2,14 +2,14 @@
 
 Field descriptors are immutable and interned: constructing the same field
 twice returns the same object, so elements built independently interoperate
-and identity checks are cheap.  A :class:`FieldElement` holds its reduced
-coefficient vector over F_p; all arithmetic is exact.
+and identity checks are cheap.
 
-The polynomial code works on the integer encoding instead: an element is
-its index sum(c_i * p^i), so the constant k of the prime field is the index
-k.  Each field picks int kernels (``add``, ``sub``, ``neg``, ``mul``,
-``inv``, ``pow`` and ``addmul``: acc[s + j] += c * row[j] for a nonzero c)
-when it is built, by kind:
+An element is encoded by its index sum(c_i * p^i) over the coefficients
+c_i of its residue mod M, so the constant k of the prime field is the index
+k.  A :class:`FieldElement` holds that index, and the polynomial and matrix
+code work on bare indices.  Each field picks int kernels (``add``, ``sub``,
+``neg``, ``mul``, ``inv``, ``pow`` and ``addmul``: acc[s + j] += c * row[j]
+for a nonzero c) when it is built, by kind:
 
 * a prime field computes with plain ints mod p;
 * an extension field of order at most ``TABLE_LIMIT`` looks products up in
@@ -17,6 +17,9 @@ when it is built, by kind:
   indices by XOR in characteristic 2 and through a Zech logarithm table
   (Z(d) = log(1 + g^d)) in odd characteristic;
 * a larger extension field multiplies unpacked coefficient vectors.
+
+The kernels hold no reference to their field, so a field that is dropped
+is freed at once, without the cycle collector.
 """
 
 from __future__ import annotations
@@ -80,10 +83,11 @@ class FiniteField:
 
     Do not instantiate directly; use :func:`prime_field` or
     :func:`extension_field` so descriptors are validated and interned.
-    The int kernels are attributes too.
+    ``pack`` and ``unpack`` convert between an index and its m base-p
+    digits; they and the int kernels are attributes.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_red", "_hash", "zero", "one",
+    __slots__ = ("p", "m", "q", "modulus", "_red", "_hash", "pack", "unpack",
                  "add", "sub", "neg", "mul", "inv", "pow", "addmul")
 
     def __init__(self, p: int, modulus: tuple[int, ...] | None):
@@ -107,10 +111,17 @@ class FiniteField:
         else:
             self._red = ()
         self._hash = hash((p, modulus))
-        self.zero = FieldElement(self, (0,) * self.m)
-        self.one = FieldElement(self, (1,) + (0,) * (self.m - 1))
+        self.pack, self.unpack = _codec(p, self.m)
         for key, fn in _kernels(self).items():
             setattr(self, key, fn)
+
+    @property
+    def zero(self) -> FieldElement:
+        return FieldElement(self, 0)
+
+    @property
+    def one(self) -> FieldElement:
+        return FieldElement(self, 1)
 
     def __eq__(self, other):
         if self is other:
@@ -132,42 +143,24 @@ class FiniteField:
 
     def __call__(self, value: int) -> FieldElement:
         """Embed an integer as a constant: value mod p."""
-        return FieldElement(self, (value % self.p,) + (0,) * (self.m - 1))
+        return FieldElement(self, value % self.p)
 
     def from_coeffs(self, coeffs: Sequence[int]) -> FieldElement:
         """Element from its coefficient vector (low degree first, length <= m)."""
         if len(coeffs) > self.m:
             raise ValueError(f"coefficient vector longer than degree {self.m}")
-        vec = tuple(c % self.p for c in coeffs) + (0,) * (self.m - len(coeffs))
-        return FieldElement(self, vec)
+        return FieldElement(self, self.pack([c % self.p for c in coeffs]))
 
     def from_index(self, index: int) -> FieldElement:
         """Element with the given integer encoding sum(c_i * p^i), 0 <= index < q."""
         if not 0 <= index < self.q:
             raise ValueError(f"index {index} out of range for field of order {self.q}")
-        return FieldElement(self, self.unpack(index))
-
-    def pack(self, digits: Sequence[int]) -> int:
-        """The index sum(c_i * p^i) of reduced digits c_0, c_1, ... (at most m)."""
-        p = self.p
-        idx = 0
-        for c in reversed(digits):
-            idx = idx * p + c
-        return idx
-
-    def unpack(self, index: int) -> tuple[int, ...]:
-        """The m base-p digits of an index, low first."""
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            index, c = divmod(index, p)
-            out.append(c)
-        return tuple(out)
+        return FieldElement(self, index)
 
     def elements(self) -> Iterator[FieldElement]:
         """All q elements in index order."""
         for i in range(self.q):
-            yield self.from_index(i)
+            yield FieldElement(self, i)
 
     @property
     def gen(self) -> FieldElement:
@@ -181,10 +174,30 @@ class FiniteField:
             raise ValueError(f"field mismatch: {self!r} vs {other!r}")
 
 
-def _vec_mul(field: FiniteField, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Product of two coefficient vectors of an extension field."""
-    p = field.p
-    m = field.m
+def _codec(p: int, m: int):
+    """pack(digits), the index sum(c_i * p^i) of reduced digits c_0, c_1,
+    ... (at most m), and unpack(index), its m base-p digits, low first."""
+
+    def pack(digits: Sequence[int]) -> int:
+        idx = 0
+        for c in reversed(digits):
+            idx = idx * p + c
+        return idx
+
+    def unpack(index: int) -> tuple[int, ...]:
+        out = []
+        for _ in range(m):
+            index, c = divmod(index, p)
+            out.append(c)
+        return tuple(out)
+
+    return pack, unpack
+
+
+def _vec_mul(p: int, red: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Product of two m-digit coefficient vectors over F_p, reduced by the
+    rows red[k] = x^(m+k) mod M (a field's ``_red``)."""
+    m = len(a)
     prod = [0] * (2 * m - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -193,19 +206,19 @@ def _vec_mul(field: FiniteField, a: Sequence[int], b: Sequence[int]) -> tuple[in
     for k in range(2 * m - 2, m - 1, -1):
         c = prod[k] % p
         if c:
-            row = field._red[k - m]
+            row = red[k - m]
             for t in range(m):
                 prod[t] += c * row[t]
     return tuple(v % p for v in prod[:m])
 
 
-def _vec_pow(field: FiniteField, a: tuple[int, ...], e: int) -> tuple[int, ...]:
+def _vec_pow(p: int, red: Sequence[Sequence[int]], a: Sequence[int], e: int) -> tuple[int, ...]:
     """a^e (e >= 0) of a coefficient vector, by square-and-multiply."""
-    result = field.one.coeffs
+    result = (1,) + (0,) * (len(a) - 1)
     while e:
         if e & 1:
-            result = _vec_mul(field, result, a)
-        a = _vec_mul(field, a, a)
+            result = _vec_mul(p, red, result, a)
+        a = _vec_mul(p, red, a, a)
         e >>= 1
     return result
 
@@ -220,12 +233,12 @@ def _smallest_generator(field: FiniteField) -> FieldElement:
             if all(pow(i, e, p) != 1 for e in cofactors):
                 return field.from_index(i)
     else:
-        one = field.one.coeffs
+        one = field.unpack(1)
         # the constants 1..p-1 have order below q - 1
         for i in range(p, q):
             g = field.unpack(i)
-            if all(_vec_pow(field, g, e) != one for e in cofactors):
-                return FieldElement(field, g)
+            if all(_vec_pow(p, field._red, g, e) != one for e in cofactors):
+                return FieldElement(field, i)
     raise AssertionError("multiplicative group has no generator")  # unreachable
 
 
@@ -243,11 +256,11 @@ def _exp_log(field: FiniteField) -> tuple[array, array]:
     """
     p, m, q = field.p, field.m, field.q
     n = q - 1
-    g = _smallest_generator(field).coeffs
+    g = field.unpack(_smallest_generator(field).index)
     cols = [g]  # g * x^i
     x = field.unpack(p)
     for _ in range(m - 1):
-        cols.append(_vec_mul(field, cols[-1], x))
+        cols.append(_vec_mul(p, field._red, cols[-1], x))
     h = m // 2
     ph = p**h
 
@@ -387,15 +400,18 @@ def _kernels(field: FiniteField) -> dict:
                             acc[j] = exp[t]
 
     else:
+        # the closures hold p, the reduction rows and the codec, never the
+        # field itself, which they would keep alive in a reference cycle
+        red = field._red
         pack, unpack = field.pack, field.unpack
 
         def mul(a, b):
             if not a or not b:
                 return 0
-            return pack(_vec_mul(field, unpack(a), unpack(b)))
+            return pack(_vec_mul(p, red, unpack(a), unpack(b)))
 
         def power(a, e):
-            return pack(_vec_pow(field, unpack(a), e))
+            return pack(_vec_pow(p, red, unpack(a), e))
 
         def inv(a):
             return power(a, q - 2)
@@ -492,89 +508,78 @@ def extension_field(p: int, modulus: Sequence[int] | None = None, degree: int | 
 
 
 class FieldElement:
-    """An element of a FiniteField, held as its reduced coefficient vector."""
+    """An element of a FiniteField, held as its index; every operator is
+    one call to a kernel of the field."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "index")
 
-    def __init__(self, field: FiniteField, coeffs: tuple[int, ...]):
+    def __init__(self, field: FiniteField, index: int):
         self.field = field
-        self.coeffs = coeffs
+        self.index = index
 
     @property
-    def index(self) -> int:
-        """Integer encoding sum(c_i * p^i); a total order on the field."""
-        return self.field.pack(self.coeffs)
+    def coeffs(self) -> tuple[int, ...]:
+        """The reduced coefficient vector over F_p, low degree first."""
+        return self.field.unpack(self.index)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.index
 
     @property
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.index == 1
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.field == other.field
+        return self.index == other.index and self.field == other.field
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.index)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.index)
+
+    def _peer(self, other: "FieldElement") -> int:
+        """The index of other, after checking that it lies in this field."""
+        if other.field is not self.field:
+            self.field._require_same(other.field)
+        return other.index
 
     def __add__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         f = self.field
-        if other.field is not f:
-            f._require_same(other.field)
-        p = f.p
-        return FieldElement(f, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(f, f.add(self.index, self._peer(other)))
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         f = self.field
-        if other.field is not f:
-            f._require_same(other.field)
-        p = f.p
-        return FieldElement(f, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(f, f.sub(self.index, self._peer(other)))
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        f = self.field
+        return FieldElement(f, f.neg(self.index))
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         f = self.field
-        if other.field is not f:
-            f._require_same(other.field)
-        if f.m == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % f.p,))
-        return FieldElement(f, _vec_mul(f, self.coeffs, other.coeffs))
+        return FieldElement(f, f.mul(self.index, self._peer(other)))
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponent; use inverse()")
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self.field
+        return FieldElement(f, f.pow(self.index, e))
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero:
+        if not self.index:
             raise ZeroDivisionError("zero has no inverse")
         f = self.field
-        if f.m == 1:
-            return FieldElement(f, (pow(self.coeffs[0], f.p - 2, f.p),))
-        return f.from_index(f.inv(self.index))
+        return FieldElement(f, f.inv(self.index))
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -583,10 +588,11 @@ class FieldElement:
 
     def __str__(self):
         if self.field.m == 1:
-            return str(self.coeffs[0])
+            return str(self.index)
+        coeffs = self.coeffs
         parts = []
         for i in range(self.field.m - 1, -1, -1):
-            c = self.coeffs[i]
+            c = coeffs[i]
             if not c:
                 continue
             if i == 0:

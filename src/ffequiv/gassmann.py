@@ -2,12 +2,14 @@
 
 Everything here is explicit and deterministic: GL_n(F_q), or its quotient by
 a scalar subgroup S, is a sorted tuple of canonical representative matrices
-with dictionary membership.  One orbit routine spans the group from elementary
-generators (its order is checked against the formula), checks subgroups closed
-from generators picked among their members, and finds conjugacy classes as
-orbits under the group's generators.  Permutation characters on G/H come from
-class counts, and non-conjugacy of H and H' is decided by trying every
-conjugator on the generators of H.
+with dictionary membership.  A matrix holds the field indices of its entries
+and multiplies, inverts and scales them with the field's int kernels.  One
+orbit routine spans the group from elementary generators (its order is
+checked against the formula), checks subgroups closed from generators picked
+among their members, and finds conjugacy classes as orbits under the group's
+generators.  Permutation characters on G/H come from class counts, and
+non-conjugacy of H and H' is decided by trying every conjugator on the
+generators of H.
 """
 
 from __future__ import annotations
@@ -18,24 +20,36 @@ from .fields import FieldElement, FiniteField, _smallest_generator
 
 
 class MatElem:
-    """Invertible n x n matrix over a finite field."""
+    """Invertible n x n matrix over a finite field.
+
+    ``rows`` holds the field index of each entry; the constructor takes
+    FieldElements or indices.
+    """
 
     __slots__ = ("field", "n", "rows", "_hash")
 
     def __init__(self, field: FiniteField, rows):
-        rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("rows must form a square matrix")
+        q = field.q
+        out = []
         for r in rows:
+            row = []
             for e in r:
-                if not isinstance(e, FieldElement) or e.field is not field:
-                    raise ValueError("entry from a different field")
+                if isinstance(e, FieldElement):
+                    if e.field is not field:
+                        raise ValueError("entry from a different field")
+                    e = e.index
+                elif not 0 <= e < q:
+                    raise ValueError(f"index {e} out of range for field of order {q}")
+                row.append(e)
+            out.append(tuple(row))
+        n = len(out)
+        if n == 0 or any(len(r) != n for r in out):
+            raise ValueError("rows must form a square matrix")
         self.field = field
         self.n = n
-        self.rows = rows
+        self.rows = tuple(out)
         self._hash = None
-        if self.det().is_zero:
+        if self._gauss_jordan()[1] is None:
             raise ValueError("matrix is singular")
 
     @classmethod
@@ -50,87 +64,68 @@ class MatElem:
 
     @classmethod
     def identity(cls, field: FiniteField, n: int) -> "MatElem":
-        one, zero = field.one, field.zero
-        rows = tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        )
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return cls._make(field, n, rows)
 
     @classmethod
     def from_ints(cls, field: FiniteField, rows) -> "MatElem":
-        return cls(field, [[field(v) for v in r] for r in rows])
+        """Entries given as integers, embedded as constants mod p."""
+        p = field.p
+        return cls(field, [[v % p for v in r] for r in rows])
 
     @property
     def key(self) -> tuple:
-        return tuple(e.index for r in self.rows for e in r)
+        return sum(self.rows, ())
 
-    def det(self) -> FieldElement:
-        field = self.field
+    def _gauss_jordan(self):
+        """(det, inverse rows) by Gauss-Jordan elimination on [A | I], as
+        indices; the inverse is None when A is singular (det 0)."""
+        f = self.field
+        mul, neg, addmul = f.mul, f.neg, f.addmul
         n = self.n
-        m = [list(r) for r in self.rows]
-        out = field.one
+        m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
+        det = 1
         for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if not m[i][col].is_zero:
-                    piv = i
-                    break
+            piv = next((i for i in range(col, n) if m[i][col]), None)
             if piv is None:
-                return field.zero
+                return 0, None
             if piv != col:
                 m[col], m[piv] = m[piv], m[col]
-                out = -out
-            p = m[col][col]
-            out = out * p
-            pinv = p.inverse()
-            for i in range(col + 1, n):
-                if m[i][col].is_zero:
-                    continue
-                factor = m[i][col] * pinv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-        return out
+                det = neg(det)
+            det = mul(det, m[col][col])
+            pinv = f.inv(m[col][col])
+            m[col] = [mul(pinv, v) for v in m[col]]
+            for i in range(n):
+                if i != col and m[i][col]:
+                    addmul(m[i], neg(m[i][col]), m[col], 0)
+        return det, tuple(tuple(r[n:]) for r in m)
+
+    def det(self) -> FieldElement:
+        return FieldElement(self.field, self._gauss_jordan()[0])
 
     def mul(self, other: "MatElem") -> "MatElem":
         n = self.n
-        a, b = self.rows, other.rows
-        zero = self.field.zero
-        cols = tuple(tuple(b[k][j] for k in range(n)) for j in range(n))
-        rows = tuple(
-            tuple(sum((ra[k] * cb[k] for k in range(n)), zero) for cb in cols)
-            for ra in a
-        )
-        return MatElem._make(self.field, n, rows)
+        addmul = self.field.addmul
+        b = other.rows
+        rows = []
+        for ra in self.rows:
+            acc = [0] * n
+            for c, rb in zip(ra, b):
+                if c:
+                    addmul(acc, c, rb, 0)
+            rows.append(tuple(acc))
+        return MatElem._make(self.field, n, tuple(rows))
 
-    def scale(self, s: FieldElement) -> "MatElem":
-        rows = tuple(tuple(s * e for e in r) for r in self.rows)
+    def _scale(self, s: int) -> "MatElem":
+        mul = self.field.mul
+        rows = tuple(tuple(mul(s, e) for e in r) for r in self.rows)
         return MatElem._make(self.field, self.n, rows)
 
     def inverse(self) -> "MatElem":
-        field = self.field
-        n = self.n
-        one, zero = field.one, field.zero
-        m = [
-            list(r) + [one if i == j else zero for j in range(n)]
-            for i, r in enumerate(self.rows)
-        ]
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if not m[i][col].is_zero:
-                    piv = i
-                    break
-            if piv is None:
-                raise ValueError("matrix is singular")
-            m[col], m[piv] = m[piv], m[col]
-            pinv = m[col][col].inverse()
-            m[col] = [pinv * v for v in m[col]]
-            for i in range(n):
-                if i == col or m[i][col].is_zero:
-                    continue
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-        rows = tuple(tuple(r[n:]) for r in m)
-        return MatElem._make(field, n, rows)
+        rows = self._gauss_jordan()[1]
+        if rows is None:
+            raise ValueError("matrix is singular")
+        return MatElem._make(self.field, self.n, rows)
 
     def __eq__(self, other):
         if not isinstance(other, MatElem):
@@ -143,9 +138,7 @@ class MatElem:
         return self._hash
 
     def render(self) -> str:
-        return "[" + ",".join(
-            "[" + ",".join(str(e.index) for e in r) + "]" for r in self.rows
-        ) + "]"
+        return "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in self.rows) + "]"
 
     def __repr__(self):
         return f"MatElem({self.render()} over {self.field!r})"
@@ -168,7 +161,8 @@ class MatGroup:
 
     Elements are canonical coset representatives: the first nonzero entry in
     row-major order lies in the fixed transversal of S in F_q^x (powers of
-    the smallest generator).  mul and inv re-canonicalize, which is the
+    the smallest generator).  canon_scalar[e] is the multiplier that takes
+    a nonzero entry e there.  mul and inv re-canonicalize, which is the
     quotient group law.
     """
 
@@ -192,9 +186,9 @@ class MatGroup:
     def canon(self, m: MatElem) -> MatElem:
         for r in m.rows:
             for e in r:
-                if not e.is_zero:
+                if e:
                     u = self._canon_scalar[e]
-                    return m if u is None else m.scale(u)
+                    return m if u == 1 else m._scale(u)
         raise ValueError("zero matrix cannot be canonicalized")
 
     def mul(self, a: MatElem, b: MatElem) -> MatElem:
@@ -244,34 +238,30 @@ def build_gl(
     if n < 1:
         raise ValueError("dimension must be at least 1")
     q = field.q
-    s_elems = {field.one}
+    mul = field.mul
+    s_elems = {1}
     if scalar_generator is not None:
         if scalar_generator.field is not field:
             raise ValueError("scalar generator from a different field")
         if scalar_generator.is_zero:
             raise ValueError("scalar subgroup generator must be nonzero")
-        a = scalar_generator
+        s = a = scalar_generator.index
         while a not in s_elems:
             s_elems.add(a)
-            a = a * scalar_generator
+            a = mul(a, s)
     size = _gl_order(q, n) // len(s_elems)
     if size > cap:
         raise ValueError(
             f"enumeration cap exceeded: group order {size} > cap {cap}"
         )
-    g0 = _smallest_generator(field)
-    dlog = {}
-    a = field.one
-    for k in range(q - 1):
-        dlog[a] = k
-        a = a * g0
+    g0 = _smallest_generator(field).index
     s_index = (q - 1) // len(s_elems)
-    # multiplier taking a nonzero entry to its transversal representative
-    canon_scalar: dict[FieldElement, FieldElement | None] = {}
-    for e, k in dlog.items():
-        shift = (k % s_index) - k
-        u = g0 ** (shift % (q - 1)) if shift else None
-        canon_scalar[e] = u
+    # multiplier taking g0^k to its transversal representative g0^(k mod s_index)
+    canon_scalar = [0] * q
+    a = 1
+    for k in range(q - 1):
+        canon_scalar[a] = field.pow(g0, (k % s_index - k) % (q - 1))
+        a = mul(a, g0)
     ident = MatElem.identity(field, n).rows
 
     def with_entry(i, j, b):
@@ -281,10 +271,11 @@ def build_gl(
     # diag(g0, 1, ..., 1) gives every determinant (it is the identity when
     # q = 2); the transvections 1 + b*E_ij over an F_p-basis b of F_q
     # generate SL_n(F_q)
-    basis = [field.from_coeffs([0] * k + [1]) for k in range(field.m)]
+    basis = [field.p**k for k in range(field.m)]
     gens = [with_entry(0, 0, g0)] if q > 2 else []
     gens += [with_entry(i, j, b) for i in range(n) for j in range(n) if i != j for b in basis]
-    group = MatGroup(field, n, tuple(sorted(s_elems, key=lambda e: e.index)), gens, canon_scalar)
+    scalars = tuple(FieldElement(field, s) for s in sorted(s_elems))
+    group = MatGroup(field, n, scalars, gens, canon_scalar)
     if len(group) != size:
         raise AssertionError(
             f"generators span {len(group)} elements, formula says {size}"
@@ -330,9 +321,8 @@ def example1_subgroups(field: FiniteField):
     if field.m != 1 or field.p <= 2:
         raise ValueError("example 1 requires a prime field with p > 2")
     G = build_gl(2, field)
-    one, zero = field.one, field.zero
-    h = [m for m in G.elements if m.rows[0][0] == one and m.rows[1][0] == zero]
-    hp = [m for m in G.elements if m.rows[1] == (zero, one)]
+    h = [m for m in G.elements if m.rows[0][0] == 1 and m.rows[1][0] == 0]
+    hp = [m for m in G.elements if m.rows[1] == (0, 1)]
     return Subgroup(G, h), Subgroup(G, hp)
 
 
@@ -350,20 +340,20 @@ def stabilizer_pair(G: MatGroup, vector_index: int = 0, covector_index: int | No
         covector_index = n - 1
     if not (0 <= vector_index < n and 0 <= covector_index < n):
         raise ValueError("basis index out of range")
-    s_set = set(G.scalar_subgroup)
+    s_set = {s.index for s in G.scalar_subgroup}
     v = vector_index
     w = covector_index
     h = [
         m
         for m in G.elements
         if m.rows[v][v] in s_set
-        and all(m.rows[i][v].is_zero for i in range(n) if i != v)
+        and not any(m.rows[i][v] for i in range(n) if i != v)
     ]
     hp = [
         m
         for m in G.elements
         if m.rows[w][w] in s_set
-        and all(m.rows[w][j].is_zero for j in range(n) if j != w)
+        and not any(m.rows[w][j] for j in range(n) if j != w)
     ]
     return Subgroup(G, h), Subgroup(G, hp)
 

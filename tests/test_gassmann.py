@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ffequiv.fields import extension_field, prime_field
+from ffequiv.fields import _vec_mul, extension_field, prime_field
 from ffequiv.gassmann import (
     MatElem,
     Subgroup,
@@ -95,8 +95,8 @@ def test_scalar_quotient():
     assert len(G) == 24
     assert G.scalar_subgroup == (F3(1), F3(2))
     for m in G.elements:
-        first = next(e for r in m.rows for e in r if not e.is_zero)
-        assert first == F3.one
+        first = next(e for r in m.rows for e in r if e)
+        assert first == 1
     rng = random.Random(4)
     for _ in range(50):
         a = G.elements[rng.randrange(len(G))]
@@ -119,6 +119,75 @@ def test_matelem_basics(gl2_f3):
         b = gl2_f3.elements[rng.randrange(48)]
         assert a.mul(b).det() == a.det() * b.det()
     assert m.render() == "[[1,1],[1,2]]"
+    # one field of each extension kernel kind: XOR tables, Zech tables, vectors
+    for field in (F4, extension_field(3, degree=2), extension_field(2, degree=17)):
+        _check_matelem(field)
+
+
+def _vector_route(f):
+    # reference arithmetic on indices: _vec_mul on unpacked digits, and
+    # digitwise sums mod p
+    p = f.p
+
+    def mul(a, b):
+        return f.pack(_vec_mul(p, f._red, f.unpack(a), f.unpack(b)))
+
+    def add(a, b):
+        return f.pack([(x + y) % p for x, y in zip(f.unpack(a), f.unpack(b))])
+
+    return mul, add
+
+
+def _product_by_vectors(a, b):
+    # reference for MatElem.mul: each entry a sum of _vec_mul products
+    mul, add = _vector_route(a.field)
+    n = a.n
+    out = []
+    for ra in a.rows:
+        row = []
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = add(acc, mul(ra[k], b.rows[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _check_matelem(field):
+    q = field.q
+    g = field.gen
+    mul, add = _vector_route(field)
+    # the second row is g times the first
+    with pytest.raises(ValueError, match="singular"):
+        MatElem(field, [[g, field.one], [g * g, g]])
+    with pytest.raises(ValueError, match="singular"):
+        MatElem(field, [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    rng = random.Random(q)
+    for n in (2, 3):
+        ident = MatElem.identity(field, n)
+        mats = []
+        while len(mats) < 8:
+            try:
+                mats.append(MatElem(field, [[rng.randrange(q) for _ in range(n)] for _ in range(n)]))
+            except ValueError:  # singular draw
+                continue
+        for a, b in zip(mats, mats[1:] + mats[:1]):
+            assert a.mul(b).rows == _product_by_vectors(a, b)
+            assert a.mul(a.inverse()) == ident == a.inverse().mul(a)
+            assert a.mul(b).det() == a.det() * b.det()
+            if n == 2:  # ad - bc, the constant p - 1 being -1
+                (w, x), (y, z) = a.rows
+                assert a.det().index == add(mul(w, z), mul(field.p - 1, mul(x, y)))
+    m = MatElem(field, [[field.p, 1], [0, q - 1]])
+    assert m.rows == ((field.p, 1), (0, q - 1))
+    assert m.render() == f"[[{field.p},1],[0,{q - 1}]]"
+    assert MatElem(field, [[g, field.one], [field.zero, g]]).render() == f"[[{field.p},1],[0,{field.p}]]"
+    with pytest.raises(ValueError, match="different field"):
+        MatElem(field, [[extension_field(5, degree=2).one, 0], [0, 1]])
+    for bad in (q, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            MatElem(field, [[bad, 0], [0, 1]])
 
 
 def test_example1_subgroups(gl2_f3):
