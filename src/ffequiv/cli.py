@@ -16,23 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .exprs import (
-    _int_monomials,
-    parse,
-    parse_element,
-    parse_modulus,
-    render_residue_poly,
-    render_tpoly,
-    render_ypoly,
-)
-from .fields import FiniteField, extension_field, prime_field
-from .gassmann import build_gl, example1_subgroups, stabilizer_pair, verify_gassmann
-from .poly import Poly, factor, monic_irreducibles
-from .splitting import Exhaustive, Sampled, compare_split_types, reduce_mod_prime
-from .twisted import DrinfeldModule, YPoly, torsion_polynomial
+# Annotations only: each command imports what it runs, so that a start-up
+# loads no module the chosen command does not use.
+if TYPE_CHECKING:
+    from .fields import FiniteField
+    from .poly import Poly
+    from .twisted import YPoly
 
 PAIR_KEYS = frozenset({"p", "f", "g", "description"})
 
@@ -64,6 +55,9 @@ def load_pair(text: str) -> PairData:
     for key in ("p", "f", "g"):
         if key not in data:
             raise ValueError(f"pair file is missing required key {key!r}")
+    from .exprs import parse
+    from .fields import prime_field
+
     field = prime_field(int(data["p"]))
     f = parse(data["f"], "y_poly", field)
     g = parse(data["g"], "y_poly", field)
@@ -72,6 +66,9 @@ def load_pair(text: str) -> PairData:
 
 def _read_pair_source(name: str) -> str:
     """Resolve --pair: a filesystem path, else a shipped pair by name."""
+    from importlib import resources
+    from pathlib import Path
+
     path = Path(name)
     if path.is_file():
         return path.read_text(encoding="utf-8")
@@ -85,11 +82,20 @@ def _read_pair_source(name: str) -> str:
 
 def _field_for(args) -> FiniteField:
     if getattr(args, "ext_modulus", None):
+        from .exprs import parse_modulus
+        from .fields import extension_field
+
         return extension_field(args.p, modulus=parse_modulus(args.ext_modulus, args.p))
+    from .fields import prime_field
+
     return prime_field(args.p)
 
 
 def cmd_torsion(args) -> int:
+    from .exprs import parse, render_ypoly
+    from .fields import prime_field
+    from .twisted import DrinfeldModule, torsion_polynomial
+
     field = prime_field(args.p)
     rho = DrinfeldModule(parse(args.rho, "twisted", field))
     a = parse(args.a, "t_poly", field)
@@ -99,10 +105,17 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    from .exprs import parse, render_residue_poly
+    from .fields import prime_field
+    from .poly import Poly, factor
+    from .splitting import reduce_mod_prime
+
     field = prime_field(args.p)
     P = parse(args.prime, "t_poly", field)
     text = args.poly
     if text.startswith("@"):
+        from pathlib import Path
+
         text = Path(text[1:]).read_text(encoding="utf-8").strip()
     f = parse(text, "y_poly", field)
     red = reduce_mod_prime(f, P)
@@ -117,6 +130,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_split_check(args) -> int:
+    from .splitting import Exhaustive, Sampled, compare_split_types
+
     pair = load_pair(_read_pair_source(args.pair))
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
@@ -134,6 +149,8 @@ def cmd_split_check(args) -> int:
 
 
 def cmd_gassmann(args) -> int:
+    from .gassmann import build_gl, example1_subgroups, stabilizer_pair, verify_gassmann
+
     field = _field_for(args)
     if args.construction == "example1":
         if args.n != 2:
@@ -145,11 +162,11 @@ def cmd_gassmann(args) -> int:
         H, Hp = example1_subgroups(field)
         G = H.parent
     else:
-        gen = (
-            None
-            if args.scalar_subgroup == "1"
-            else parse_element(args.scalar_subgroup, field)
-        )
+        gen = None
+        if args.scalar_subgroup != "1":
+            from .exprs import parse_element
+
+            gen = parse_element(args.scalar_subgroup, field)
         G = build_gl(args.n, field, scalar_generator=gen, cap=args.cap)
         H, Hp = stabilizer_pair(G)
     cert = verify_gassmann(G, H, Hp)
@@ -158,6 +175,8 @@ def cmd_gassmann(args) -> int:
 
 
 def _render_prime(P: Poly) -> str:
+    from .exprs import _int_monomials, render_tpoly
+
     if P.field.m == 1:
         return render_tpoly(P)
     # extension coefficients shown by element index
@@ -167,6 +186,8 @@ def _render_prime(P: Poly) -> str:
 def cmd_primes(args) -> int:
     if args.degree < 1:
         raise ValueError("degree must be at least 1")
+    from .poly import monic_irreducibles
+
     field = _field_for(args)
     primes = monic_irreducibles(field, args.degree)
     for P in primes:

@@ -38,6 +38,8 @@ class MatElem:
                     if e.field is not field:
                         raise ValueError("entry from a different field")
                     e = e.index
+                elif not isinstance(e, int):
+                    raise ValueError(f"entry {e!r} is neither a FieldElement nor an index")
                 elif not 0 <= e < q:
                     raise ValueError(f"index {e} out of range for field of order {q}")
                 row.append(e)

@@ -201,6 +201,8 @@ class Poly(_Dense):
                 if c.field != field:
                     raise ValueError(f"coefficient from {c.field!r}, not {field!r}")
                 c = c.index
+            elif not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is neither a FieldElement nor an index")
             elif not 0 <= c < q:
                 raise ValueError(f"index {c} out of range for field of order {q}")
             cs.append(c)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -317,6 +316,9 @@ def compare_split_types(
         raise ValueError("empty prime selection")
     workers = min(jobs, len(primes), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(f, g)
         ) as pool:

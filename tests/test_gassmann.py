@@ -190,6 +190,11 @@ def _check_matelem(field):
             MatElem(field, [[bad, 0], [0, 1]])
 
 
+def test_matelem_rejects_non_index_entries():
+    with pytest.raises(ValueError, match="neither a FieldElement nor an index"):
+        MatElem(prime_field(7), [[1.0, 0], [0, 1]])
+
+
 def test_example1_subgroups(gl2_f3):
     h, hp = example1_subgroups(F3)
     assert len(h) == 6 and len(hp) == 6

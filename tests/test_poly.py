@@ -60,6 +60,13 @@ def test_degree_sentinel_and_basics():
         _ = Poly.x(F3) + Poly.x(F2)
 
 
+def test_constructor_rejects_non_index_coefficients():
+    for field in (prime_field(5), F9):
+        for bad in (1.5, "1", None):
+            with pytest.raises(ValueError, match="neither a FieldElement nor an index"):
+                Poly(field, [bad, 2])
+
+
 def test_divmod_round_trip_random():
     rng = random.Random(7)
     for field in (F2, F3, F4, F9):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 
 import pytest
@@ -391,7 +392,7 @@ class _RecordingPool:
 def test_jobs_capped_by_primes_and_cpus(pair1, monkeypatch, jobs, cpus, workers):
     f, g = pair1
     monkeypatch.setattr(_RecordingPool, "created", [])
-    monkeypatch.setattr(splitting, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(splitting.os, "cpu_count", lambda: cpus)
     report = compare_split_types(f, g, Exhaustive(2), jobs=jobs)  # 6 primes
     assert _RecordingPool.created == ([] if workers is None else [workers])
