@@ -16,7 +16,9 @@ for a nonzero c) when it is built, by kind:
   exp/log tables built from its smallest primitive element; it adds
   indices by XOR in characteristic 2 and through a Zech logarithm table
   (Z(d) = log(1 + g^d)) in odd characteristic;
-* a larger extension field multiplies unpacked coefficient vectors.
+* a larger extension field of characteristic 2 multiplies indices as bit
+  patterns, by shift and XOR, reduced by the bits of M; one of odd
+  characteristic multiplies unpacked coefficient vectors.
 
 The kernels hold no reference to their field, so a field that is dropped
 is freed at once, without the cycle collector.
@@ -400,29 +402,48 @@ def _kernels(field: FiniteField) -> dict:
                             acc[j] = exp[t]
 
     else:
-        # the closures hold p, the reduction rows and the codec, never the
-        # field itself, which they would keep alive in a reference cycle
-        red = field._red
-        pack, unpack = field.pack, field.unpack
-
-        def mul(a, b):
-            if not a or not b:
-                return 0
-            return pack(_vec_mul(p, red, unpack(a), unpack(b)))
-
-        def power(a, e):
-            return pack(_vec_pow(p, red, unpack(a), e))
-
-        def inv(a):
-            return power(a, q - 2)
-
+        # the closures hold ints, the reduction rows and the codec, never
+        # the field itself, which they would keep alive in a reference cycle
         if p == 2:
             add = sub = operator.xor
+            top = 1 << m
+            modulus = field.pack(field.modulus)
 
             def neg(a):
                 return a
 
+            def mul(a, b):
+                # carry-less: XOR a shifted copy of a per set bit of b, then
+                # clear the bits from x^(2m-2) down to x^m with shifted M
+                r = 0
+                while b:
+                    low = b & -b
+                    r ^= a * low
+                    b ^= low
+                while r >= top:
+                    r ^= modulus << (r.bit_length() - 1 - m)
+                return r
+
+            def power(a, e):
+                r = 1
+                while e:
+                    if e & 1:
+                        r = mul(r, a)
+                    a = mul(a, a)
+                    e >>= 1
+                return r
+
         else:
+            red = field._red
+            pack, unpack = field.pack, field.unpack
+
+            def mul(a, b):
+                if not a or not b:
+                    return 0
+                return pack(_vec_mul(p, red, unpack(a), unpack(b)))
+
+            def power(a, e):
+                return pack(_vec_pow(p, red, unpack(a), e))
 
             def add(a, b):
                 return pack([(x + y) % p for x, y in zip(unpack(a), unpack(b))])
@@ -432,6 +453,9 @@ def _kernels(field: FiniteField) -> dict:
 
             def neg(a):
                 return pack([-x % p for x in unpack(a)])
+
+        def inv(a):
+            return power(a, q - 2)
 
         def addmul(acc, c, row, s):
             for j, r in enumerate(row, s):
@@ -607,11 +631,13 @@ class FieldElement:
         return f"{self.field!r}({self})"
 
     def multiplicative_order(self) -> int:
+        """The least n >= 1 with self^n = 1.  It divides q - 1, so start
+        there and divide out each prime l while the (n/l)-th power is 1."""
         if self.is_zero:
             raise ValueError("zero has no multiplicative order")
-        n = 1
-        acc = self
-        while not acc.is_one:
-            acc = acc * self
-            n += 1
+        f = self.field
+        n = f.q - 1
+        for l in _prime_divisors(n):
+            while n % l == 0 and f.pow(self.index, n // l) == 1:
+                n //= l
         return n

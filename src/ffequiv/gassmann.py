@@ -3,17 +3,23 @@
 Everything here is explicit and deterministic: GL_n(F_q), or its quotient by
 a scalar subgroup S, is a sorted tuple of canonical representative matrices
 with dictionary membership.  A matrix holds the field indices of its entries
-and multiplies, inverts and scales them with the field's int kernels.  One
-orbit routine spans the group from elementary generators (its order is
-checked against the formula), checks subgroups closed from generators picked
-among their members, and finds conjugacy classes as orbits under the group's
-generators.  Permutation characters on G/H come from class counts, and
-non-conjugacy of H and H' is decided by trying every conjugator on the
-generators of H.
+and multiplies, inverts and scales them with the field's int kernels.
+
+The group is spanned breadth first from elementary generators (its order is
+checked against the formula).  A step by a generator 1 + c*E_ij is one
+column operation, and every step is kept in a right-multiplication table on
+element indices.  Transposition is an anti-automorphism that maps those
+generators to each other, so left multiplication, and with it conjugation by
+a generator, is a composite of tables: conjugacy classes are orbits of ints,
+found without a matrix product.  Subgroups are checked closed from
+generators picked among their members.  Permutation characters on G/H come
+from class counts, and non-conjugacy of H and H' is decided by trying one
+conjugator per left coset gH on the generators of H.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .fields import FieldElement, FiniteField, _smallest_generator
@@ -118,11 +124,6 @@ class MatElem:
             rows.append(tuple(acc))
         return MatElem._make(self.field, n, tuple(rows))
 
-    def _scale(self, s: int) -> "MatElem":
-        mul = self.field.mul
-        rows = tuple(tuple(mul(s, e) for e in r) for r in self.rows)
-        return MatElem._make(self.field, self.n, rows)
-
     def inverse(self) -> "MatElem":
         rows = self._gauss_jordan()[1]
         if rows is None:
@@ -146,18 +147,6 @@ class MatElem:
         return f"MatElem({self.render()} over {self.field!r})"
 
 
-def _orbit(x, step) -> set:
-    """Everything reachable from x by repeating step (x -> iterable of successors)."""
-    seen = {x}
-    todo = [x]
-    while todo:
-        for y in step(todo.pop()):
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return seen
-
-
 class MatGroup:
     """GL_n(F_q), or GL_n(F_q)/S for a scalar subgroup S, spanned by gens.
 
@@ -166,6 +155,9 @@ class MatGroup:
     the smallest generator).  canon_scalar[e] is the multiplier that takes
     a nonzero entry e there.  mul and inv re-canonicalize, which is the
     quotient group law.
+
+    The enumeration keeps the products it computes: right[k][i] is the
+    index of elements[i] * gens[k], one array('I') per generator.
     """
 
     def __init__(self, field, n, scalar_subgroup, gens, canon_scalar):
@@ -174,9 +166,53 @@ class MatGroup:
         self.scalar_subgroup = scalar_subgroup
         self._canon_scalar = canon_scalar
         self.gens = tuple(self.canon(g) for g in gens)
-        self.elements = tuple(sorted(self.span(self.gens), key=lambda m: m.key))
+        found, products = self._enumerate()
+        # rows of equal length compare as the flattened key does
+        order = sorted(range(len(found)), key=found.__getitem__)
+        self.elements = tuple(MatElem._make(field, n, found[i]) for i in order)
         self.index = {m: i for i, m in enumerate(self.elements)}
+        rank = array("I", [0]) * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+        self.right = tuple(array("I", [rank[t[i]] for i in order]) for t in products)
         self._classes = None
+
+    def _enumerate(self):
+        """The span of gens from the identity, breadth first: the rows of the
+        elements in the order found, and per generator s the find number of
+        x * s for each x in that order."""
+        field, n = self.field, self.n
+        add, mul = field.add, field.mul
+        canon_rows = self._canon_rows
+        quotient = len(self.scalar_subgroup) > 1
+
+        def step_by(g):
+            # x * (1 + c E_ij) adds c times column i to column j: n kernel
+            # calls instead of a matrix product (build_gl's generators all
+            # have this form; a diagonal one has c = d - 1)
+            moved = [(i, j) for i in range(n) for j in range(n) if g.rows[i][j] != int(i == j)]
+            if len(moved) != 1:
+                return lambda rows: MatElem._make(field, n, rows).mul(g).rows
+            (i, j), = moved
+            c = field.sub(g.rows[i][j], int(i == j))
+            return lambda rows: tuple([
+                r[:j] + (add(r[j], mul(c, r[i])),) + r[j + 1:] if r[i] else r for r in rows
+            ])
+
+        found = [self.identity.rows]
+        number = {found[0]: 0}
+        products = [array("I") for _ in self.gens]
+        steps = tuple((step_by(g), table) for g, table in zip(self.gens, products))
+        for x in found:  # grows while it is read
+            for step, table in steps:
+                y = step(x)
+                if quotient:
+                    y = canon_rows(y)
+                j = number.setdefault(y, len(found))
+                if j == len(found):
+                    found.append(y)
+                table.append(j)
+        return found, products
 
     def __len__(self):
         return len(self.elements)
@@ -185,13 +221,20 @@ class MatGroup:
     def identity(self) -> MatElem:
         return MatElem.identity(self.field, self.n)
 
-    def canon(self, m: MatElem) -> MatElem:
-        for r in m.rows:
+    def _canon_rows(self, rows: tuple) -> tuple:
+        for r in rows:
             for e in r:
                 if e:
                     u = self._canon_scalar[e]
-                    return m if u == 1 else m._scale(u)
+                    if u == 1:
+                        return rows
+                    mul = self.field.mul
+                    return tuple(tuple(mul(u, v) for v in row) for row in rows)
         raise ValueError("zero matrix cannot be canonicalized")
+
+    def canon(self, m: MatElem) -> MatElem:
+        rows = self._canon_rows(m.rows)
+        return m if rows is m.rows else MatElem._make(self.field, self.n, rows)
 
     def mul(self, a: MatElem, b: MatElem) -> MatElem:
         return self.canon(a.mul(b))
@@ -201,23 +244,59 @@ class MatGroup:
 
     def span(self, gens) -> set[MatElem]:
         """The subgroup generated by canonical gens (products alone suffice: it is finite)."""
-        return _orbit(self.identity, lambda x: [self.mul(x, g) for g in gens])
+        seen = {self.identity}
+        todo = list(seen)
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = self.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
 
     def conjugacy_classes(self):
         """(representative, size, frozenset of indices) per conjugation orbit
-        under gens, in order of the smallest index, which is the representative."""
+        under gens, in order of the smallest index, which is the representative.
+
+        Conjugation by s maps index i to left_s[right_s^-1[i]], so the orbits
+        are found on ints.  Transposition T is an anti-automorphism, so the
+        left table of s is T . right_t . T with t = s^T, when that is a
+        generator too (as in build_gl); otherwise it comes from products."""
         if self._classes is None:
-            pairs = [(g, g.inverse()) for g in self.gens]
-            seen = bytearray(len(self.elements))
+            size = len(self.elements)
+            index, canon, make = self.index, self.canon, MatElem._make
+            transpose = array("I", [
+                index[canon(make(self.field, self.n, tuple(zip(*x.rows))))]
+                for x in self.elements
+            ])
+            gen_at = {index[g]: k for k, g in enumerate(self.gens)}
+            maps = []
+            for g, right in zip(self.gens, self.right):
+                t = gen_at.get(transpose[index[g]])
+                if t is None:
+                    left = array("I", [index[self.mul(g, x)] for x in self.elements])
+                else:
+                    right_t = self.right[t]
+                    left = array("I", [transpose[right_t[j]] for j in transpose])
+                undo = array("I", [0]) * size
+                for i, j in enumerate(right):
+                    undo[j] = i
+                maps.append(array("I", [left[j] for j in undo]))
+            seen = bytearray(size)
             classes = []
-            for i, x in enumerate(self.elements):
+            for i in range(size):
                 if seen[i]:
                     continue
-                orbit = _orbit(x, lambda y: [self.canon(g.mul(y).mul(gi)) for g, gi in pairs])
-                members = frozenset(self.index[y] for y in orbit)
-                for j in members:
-                    seen[j] = 1
-                classes.append((x, len(members), members))
+                seen[i] = 1
+                orbit = [i]
+                for y in orbit:  # grows while it is read
+                    for c in maps:
+                        z = c[y]
+                        if not seen[z]:
+                            seen[z] = 1
+                            orbit.append(z)
+                classes.append((self.elements[i], len(orbit), frozenset(orbit)))
             self._classes = classes
         return self._classes
 
@@ -399,19 +478,26 @@ class GassmannCertificate:
 
 def _are_conjugate(G: MatGroup, H: Subgroup, Hp: Subgroup) -> bool:
     """Whether g H g^-1 = H' for some g in G.  As |H| = |H'|, it is enough
-    that g maps the generators of H into H'."""
+    that g maps the generators of H into H'; and as (gh) H (gh)^-1 = g H g^-1
+    for h in H, one g per left coset gH is tried."""
     if len(H) != len(Hp):
         return False
     target = Hp.member_set
-    for g in G.elements:
+    index, canon = G.index, G.canon
+    tried = bytearray(len(G))
+    for i, g in enumerate(G.elements):
+        if tried[i]:
+            continue
         ginv = g.inverse()
-        if all(G.canon(g.mul(h).mul(ginv)) in target for h in H.gens):
+        if all(canon(g.mul(h).mul(ginv)) in target for h in H.gens):
             return True
+        for h in H.members:
+            tried[index[canon(g.mul(h))]] = 1
     return False
 
 
 def verify_gassmann(G: MatGroup, H: Subgroup, Hp: Subgroup) -> GassmannCertificate:
-    """Classwise fixed-point comparison plus non-conjugacy over every conjugator."""
+    """Classwise fixed-point comparison plus non-conjugacy, one conjugator per coset of H."""
     if H.parent is not G or Hp.parent is not G:
         raise ValueError("both subgroups must live in the given group")
     fix_h = permutation_character_fixpoints(G, H)

@@ -265,13 +265,14 @@ def test_is_prime_refuses_above_limit():
 
 
 def _kernel_fields():
-    """One field of each kernel kind: prime, XOR tables, Zech tables, no tables."""
+    """Fields of each kernel kind: prime, XOR tables, Zech tables, and
+    carry-less products in characteristic 2 above the table limit."""
     return {
         "prime": [prime_field(7), prime_field(10007)],
         "xor": [extension_field(2, degree=m) for m in (2, 3, 10)],
         "zech": [extension_field(3, degree=2), extension_field(5, degree=2),
                  extension_field(3, degree=3), extension_field(3, degree=5)],
-        "vector": [extension_field(2, degree=17)],
+        "clmul": [extension_field(2, degree=17), extension_field(2, degree=20)],
     }
 
 
@@ -335,7 +336,8 @@ def test_fields_freed_by_refcount():
     kinds = {
         "prime": (7, None),
         "tables": (3, CANONICAL_MODULI[(3, 5)]),
-        "vector": (2, extension_field(2, degree=17).modulus),
+        "clmul": (2, extension_field(2, degree=17).modulus),
+        "vector": (3, extension_field(3, degree=11).modulus),
     }
     gc.collect()
     gc.disable()
@@ -357,3 +359,27 @@ def test_smallest_generator_is_least_of_full_order():
         assert g.multiplicative_order() == field.q - 1
         for i in range(1, g.index):
             assert field.from_index(i).multiplicative_order() < field.q - 1
+
+
+def _order_by_walk(e):
+    # multiply by e until the product is 1
+    mul, a = e.field.mul, e.index
+    n, acc = 1, a
+    while acc != 1:
+        acc = mul(acc, a)
+        n += 1
+    return n
+
+
+def test_multiplicative_order_matches_walk():
+    f7, f9 = prime_field(7), extension_field(3, modulus=[1, 0, 1])
+    big = extension_field(2, degree=17)
+    rng = random.Random(17)
+    cases = [e for f in (f7, f9) for e in f.elements() if not e.is_zero]
+    cases += [big.one, big.gen] + [big.from_index(rng.randrange(2, big.q)) for _ in range(2)]
+    for e in cases:
+        assert e.multiplicative_order() == _order_by_walk(e), e
+    assert sorted({e.multiplicative_order() for e in f9.elements() if e}) == [1, 2, 4, 8]
+    for field in (f7, f9, big):
+        with pytest.raises(ValueError, match="zero"):
+            field.zero.multiplicative_order()

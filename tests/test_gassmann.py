@@ -5,6 +5,7 @@ import pytest
 from ffequiv.fields import _vec_mul, extension_field, prime_field
 from ffequiv.gassmann import (
     MatElem,
+    MatGroup,
     Subgroup,
     _are_conjugate,
     build_gl,
@@ -209,7 +210,9 @@ def test_example1_subgroups(gl2_f3):
 
 
 def test_conjugacy_classes(gl2_f3):
-    groups = (gl2_f3, build_gl(2, F4), build_gl(2, F3, scalar_generator=F3(2)))
+    # the classes come from index tables; the reference conjugates matrices
+    groups = (gl2_f3, build_gl(2, F4), build_gl(3, F2), build_gl(2, F5, scalar_generator=F5(4)),
+              build_gl(2, F3, scalar_generator=F3(2)))
     for G in groups:
         assert G.conjugacy_classes() == _classes_by_all_conjugators(G)
     classes = conjugacy_classes(gl2_f3)
@@ -219,6 +222,24 @@ def test_conjugacy_classes(gl2_f3):
     assert any(rep == ident and size == 1 for rep, size in classes)
     small = build_gl(1, F3)
     assert [size for _, size in conjugacy_classes(small)] == [1, 1]
+
+
+def test_right_tables_are_products():
+    for G in (build_gl(2, F4), build_gl(3, F2), build_gl(2, F5, scalar_generator=F5(4))):
+        assert len(G.right) == len(G.gens)
+        for g, table in zip(G.gens, G.right):
+            assert table.typecode == "I"
+            assert list(table) == [G.index[G.mul(x, g)] for x in G.elements]
+
+
+def test_classes_without_transposed_generators():
+    # generators whose transposes are not among them: the left tables come
+    # from products instead, and the classes stay those of GL_2(F_3)
+    G = build_gl(2, F3)
+    upper = [G.gens[0], MatElem.from_ints(F3, [[1, 1], [0, 1]]), MatElem.from_ints(F3, [[0, 1], [1, 0]])]
+    H = MatGroup(F3, 2, G.scalar_subgroup, upper, G._canon_scalar)
+    assert H.elements == G.elements
+    assert H.conjugacy_classes() == _classes_by_all_conjugators(G)
 
 
 def test_certificate_example1(ex1_f3):
@@ -246,6 +267,34 @@ def test_certificate_self_pair(ex1_f3):
     for G, H, Hp in triples:
         for a, b in ((H, Hp), (Hp, H), (H, H)):
             assert _are_conjugate(G, a, b) == _conjugate_by_members(G, a, b)
+
+
+def _conjugated(G, H, g):
+    ginv = G.inv(g)
+    return Subgroup(G, [G.mul(G.mul(g, h), ginv) for h in H.members])
+
+
+def test_conjugator_search_one_per_coset(gl2_f3, ex1_f3, monkeypatch):
+    G3 = build_gl(3, F2)
+    cases = [(gl2_f3, ex1_f3[0]), (G3, stabilizer_pair(G3)[0])]
+    for G, H in cases:
+        g = next(x for x in reversed(G.elements) if x not in H.member_set)
+        Hg = _conjugated(G, H, g)
+        assert Hg.member_set != H.member_set
+        assert _are_conjugate(G, H, Hg) and _conjugate_by_members(G, H, Hg)
+        assert _are_conjugate(G, Hg, H) and _conjugate_by_members(G, Hg, H)
+    # a Gassmann pair that is not conjugate: every coset of H is tried once,
+    # and each try inverts one matrix
+    calls = []
+    inverse = MatElem.inverse
+    monkeypatch.setattr(MatElem, "inverse", lambda m: calls.append(m) or inverse(m))
+    for G, H, Hp in [(gl2_f3, *ex1_f3), (G3, *stabilizer_pair(G3))]:
+        calls.clear()
+        assert not _are_conjugate(G, H, Hp)
+        tried = list(calls)
+        assert len(tried) == len(G) // len(H)
+        assert len({frozenset(G.mul(g, h) for h in H.members) for g in tried}) == len(tried)
+        assert not _conjugate_by_members(G, H, Hp)
 
 
 def test_certificate_gl2_f4():

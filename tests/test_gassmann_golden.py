@@ -1,0 +1,39 @@
+"""Byte-exact certificates and exit codes of `ffequiv gassmann`.
+
+Each file under golden/gassmann/ is the stdout of the command next to it,
+recorded before conjugacy classes and the conjugator search moved to index
+tables; a change to the group code must leave every one of them as it is.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ffequiv.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "gassmann"
+
+CASES = [
+    # (golden file, exit code, arguments after "gassmann")
+    ("ex1_p3", 0, "--p 3 --n 2 --construction example1"),
+    ("ex1_p5", 0, "--p 5 --n 2 --construction example1"),
+    ("ex1_p7", 0, "--p 7 --n 2 --construction example1"),
+    ("stab_f2_n2", 1, "--p 2 --n 2 --construction stabilizers"),
+    ("stab_f2_n3", 0, "--p 2 --n 3 --construction stabilizers"),
+    ("stab_f4", 0, "--p 2 --ext-modulus x^2+x+1 --n 2 --construction stabilizers"),
+    ("stab_f8", 0, "--p 2 --ext-modulus x^3+x+1 --n 2 --construction stabilizers"),
+    ("scal_f3_2", 1, "--p 3 --n 2 --construction stabilizers --scalar-subgroup 2"),
+    ("scal_f5_4", 0, "--p 5 --n 2 --construction stabilizers --scalar-subgroup 4"),
+    ("scal_f7_6", 0, "--p 7 --n 2 --construction stabilizers --scalar-subgroup 6"),
+    ("gl3_f3_pm1", 0, "--p 3 --n 3 --construction stabilizers --scalar-subgroup 2"),
+    ("f9_x", 0, "--p 3 --ext-modulus x^2+1 --n 2 --construction stabilizers --scalar-subgroup x"),
+]
+
+
+@pytest.mark.parametrize("name,code,args", CASES, ids=[c[0] for c in CASES])
+def test_gassmann_golden(capsys, name, code, args):
+    rc = main(["gassmann", *args.split()])
+    cap = capsys.readouterr()
+    assert rc == code
+    assert cap.out == (GOLDEN / f"{name}.out").read_text("utf-8")
+    assert cap.err == ""
