@@ -11,24 +11,29 @@ in tau (twisted mode).  One grammar serves all modes:
 
 Whitespace is ignored, "*" is mandatory (no implicit multiplication), and
 exponents are literal non-negative integers.  Parentheses and unary minus
-nest at most MAX_NESTING levels deep.  In twisted mode each term
-must have the shape coefficient * tau^i with the tau power as the trailing
-factor; anything that would need the commutation rule to normalize, such
-as "tau*T" or "(tau + T)*T", is rejected instead of silently rewritten.
+nest at most MAX_NESTING levels deep.  Every mode evaluates with the ring
+operators of its values, and refuses a product or power whose degree in
+y, tau or T would pass DEGREE_LIMIT before computing it.  In twisted mode
+each term must first be checked to have the shape coefficient * tau^i,
+with the tau power as the trailing factor; anything that would need the
+commutation rule to normalize, such as "tau*T" or "(tau + T)*T", is
+rejected instead of silently rewritten.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Sequence
 
 from .fields import FieldElement, FiniteField, prime_field
 from .poly import Poly
-from .twisted import TwistedPoly, YPoly
+from .twisted import TORSION_LIMIT, TwistedPoly, YPoly
 
 _SYMBOLS = ("T", "y", "tau", "x")
 MAX_NESTING = 100
+# Largest degree in y, tau or T that a parsed value may reach; the y-degree
+# of any torsion_polynomial output is within it.
+DEGREE_LIMIT = TORSION_LIMIT
 _MODE_SYMBOLS = {
     "t_poly": ("T",),
     "y_poly": ("T", "y"),
@@ -160,77 +165,83 @@ class _Parser:
         return node
 
 
-def _contains_tau(node) -> bool:
-    kind = node[0]
-    if kind == "sym":
-        return node[2] == "tau"
-    if kind == "nat":
-        return False
-    if kind in ("sum", "prod"):
-        return any(map(_contains_tau, node[2]))
-    return _contains_tau(node[2])  # pow, neg
+def _not_allowed(name: str, mode: str, pos: int) -> ParseError:
+    return ParseError(f"symbol '{name}' is not allowed in {mode} mode", pos)
+
+
+def _degrees(value) -> tuple[int, int]:
+    """The degree of a parsed value in its variable (y, tau or T) and the
+    largest T-degree of its coefficients; a field element has (0, 0)."""
+    if isinstance(value, FieldElement):
+        return 0, 0
+    if isinstance(value, Poly):
+        return value.degree, 0
+    return value.degree, max((len(c.coeffs) for c in value.coeffs), default=0) - 1
+
+
+def _within_limit(degrees, pos: int):
+    if max(degrees) > DEGREE_LIMIT:
+        raise ParseError(f"degree above the limit of {DEGREE_LIMIT}", pos)
 
 
 def _eval_commutative(node, consts, env, mode):
+    """Evaluate the AST with the ring operators of the values; before each
+    product and power, refuse a result above DEGREE_LIMIT."""
     kind = node[0]
     if kind == "nat":
         return consts(node[2])
     if kind == "sym":
         name = node[2]
         if name not in env:
-            raise ParseError(f"symbol '{name}' is not allowed in {mode} mode", node[1])
+            raise _not_allowed(name, mode, node[1])
         return env[name]
     if kind in ("sum", "prod"):
         vals = (_eval_commutative(t, consts, env, mode) for t in node[2])
-        return functools.reduce(operator.add if kind == "sum" else operator.mul, vals)
+        acc = next(vals)
+        for v in vals:
+            if kind == "sum":
+                acc = acc + v
+            else:
+                _within_limit(map(operator.add, _degrees(acc), _degrees(v)), node[1])
+                acc = acc * v
+        return acc
     if kind == "pow":
-        return _eval_commutative(node[2], consts, env, mode) ** node[3]
+        base, e = _eval_commutative(node[2], consts, env, mode), node[3]
+        _within_limit((d * e for d in _degrees(base)), node[1])
+        return base**e
     if kind == "neg":
         return -_eval_commutative(node[2], consts, env, mode)
     raise AssertionError(f"unhandled node {kind}")
 
 
-def _flatten_sum(node, sign, out):
+def _flatten(node, kinds) -> list:
+    """The operands of node, read through nested nodes of the given kinds."""
     kind = node[0]
-    if kind == "sum":
-        for t in node[2]:
-            _flatten_sum(t, sign, out)
-    elif kind == "neg":
-        _flatten_sum(node[2], -sign, out)
-    else:
-        out.append((sign, node))
+    if kind not in kinds:
+        return [node]
+    children = node[2] if kind in ("sum", "prod") else (node[2],)  # pow, neg: one
+    return [leaf for child in children for leaf in _flatten(child, kinds)]
 
 
-def _flatten_mul(node, out):
-    if node[0] == "prod":
-        for fct in node[2]:
-            _flatten_mul(fct, out)
-    else:
-        out.append(node)
-
-
-def _eval_twisted(node, field: FiniteField) -> TwistedPoly:
-    terms = []
-    _flatten_sum(node, 1, terms)
-    acc: dict[int, Poly] = {}
-    t_env = {"T": Poly.x(field)}
-    for sign, term in terms:
-        factors = []
-        _flatten_mul(term, factors)
-        coeff = Poly.one(field)
-        tau_deg = 0
+def _check_twisted(ast):
+    """Accept only terms of the shape coefficient * tau^i: tau may appear
+    only as the trailing, possibly negated, plain power of its term.  The
+    first fault in the order of terms and factors is reported, a foreign
+    symbol in a coefficient among them."""
+    for term in _flatten(ast, ("sum", "neg")):
+        factors = _flatten(term, ("prod",))
         for idx, fct in enumerate(factors):
-            if not _contains_tau(fct):
-                coeff = coeff * _eval_commutative(
-                    fct, lambda n: Poly.constant(field, field(n)), t_env, "twisted"
-                )
+            leaves = _flatten(fct, ("sum", "prod", "pow", "neg"))
+            syms = [leaf for leaf in leaves if leaf[0] == "sym"]
+            if all(name != "tau" for _, _, name in syms):
+                for _, pos, name in syms:
+                    if name != "T":
+                        raise _not_allowed(name, "twisted", pos)
                 continue
             if idx != len(factors) - 1:
                 raise ParseError("tau power must be the trailing factor of its term", fct[1])
-            base, exp = (fct[2], fct[3]) if fct[0] == "pow" else (fct, 1)
-            negs = 0
+            base = fct[2] if fct[0] == "pow" else fct
             while base[0] == "neg":
-                negs += 1
                 base = base[2]
             if base[0] != "sym" or base[2] != "tau":
                 raise ParseError(
@@ -238,14 +249,6 @@ def _eval_twisted(node, field: FiniteField) -> TwistedPoly:
                     "or parenthesized expression",
                     fct[1],
                 )
-            tau_deg = exp
-            if (negs * exp) % 2:
-                sign = -sign
-        if sign < 0:
-            coeff = -coeff
-        acc[tau_deg] = acc.get(tau_deg, Poly.zero(field)) + coeff
-    top = max(acc) if acc else 0
-    return TwistedPoly(field, [acc.get(i, Poly.zero(field)) for i in range(top + 1)])
 
 
 def parse(text: str, mode: str, field: FiniteField):
@@ -258,19 +261,19 @@ def parse(text: str, mode: str, field: FiniteField):
     if mode not in _MODE_SYMBOLS:
         raise ValueError(f"unknown parse mode {mode!r}")
     ast = _Parser(text).parse()
-    if mode == "twisted":
-        return _eval_twisted(ast, field)
     if mode in ("t_poly", "x_poly"):
         (var,) = _MODE_SYMBOLS[mode]
         return _eval_commutative(
             ast, lambda n: Poly.constant(field, field(n)), {var: Poly.x(field)}, mode
         )
-    env = {
-        "T": YPoly.constant(field, Poly.x(field)),
-        "y": YPoly.y(field),
-    }
+    if mode == "twisted":
+        _check_twisted(ast)
+        ring, var = TwistedPoly, "tau"
+    else:
+        ring, var = YPoly, "y"
+    env = {"T": ring.constant(field, Poly.x(field)), var: ring.x(field)}
     return _eval_commutative(
-        ast, lambda n: YPoly.constant(field, Poly.constant(field, field(n))), env, mode
+        ast, lambda n: ring.constant(field, Poly.constant(field, field(n))), env, mode
     )
 
 

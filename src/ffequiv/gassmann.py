@@ -13,8 +13,8 @@ generators to each other, so left multiplication, and with it conjugation by
 a generator, is a composite of tables: conjugacy classes are orbits of ints,
 found without a matrix product.  Subgroups are checked closed from
 generators picked among their members.  Permutation characters on G/H come
-from class counts, and non-conjugacy of H and H' is decided by trying one
-conjugator per left coset gH on the generators of H.
+from class counts, and H and H' are conjugate when the index set of H' is
+in the orbit of that of H under the same conjugation permutations.
 """
 
 from __future__ import annotations
@@ -165,8 +165,18 @@ class MatGroup:
         self.n = n
         self.scalar_subgroup = scalar_subgroup
         self._canon_scalar = canon_scalar
+        moves = []  # (i, j, c) with g = 1 + c*E_ij, per generator g
+        for g in gens:
+            moved = [(i, j) for i in range(n) for j in range(n) if g.rows[i][j] != int(i == j)]
+            if len(moved) != 1:
+                raise ValueError("each generator must differ from the identity in one entry")
+            (i, j), = moved
+            moves.append((i, j, field.sub(g.rows[i][j], int(i == j))))
         self.gens = tuple(self.canon(g) for g in gens)
-        found, products = self._enumerate()
+        rows = {g.rows for g in self.gens}
+        if any(self._canon_rows(tuple(zip(*g.rows))) not in rows for g in self.gens):
+            raise ValueError("the generators must be closed under transposition")
+        found, products = self._enumerate(moves)
         # rows of equal length compare as the flattened key does
         order = sorted(range(len(found)), key=found.__getitem__)
         self.elements = tuple(MatElem._make(field, n, found[i]) for i in order)
@@ -175,43 +185,33 @@ class MatGroup:
         for r, i in enumerate(order):
             rank[i] = r
         self.right = tuple(array("I", [rank[t[i]] for i in order]) for t in products)
+        self._conjugations = None
         self._classes = None
 
-    def _enumerate(self):
-        """The span of gens from the identity, breadth first: the rows of the
-        elements in the order found, and per generator s the find number of
-        x * s for each x in that order."""
-        field, n = self.field, self.n
-        add, mul = field.add, field.mul
+    def _enumerate(self, moves):
+        """The span of the generators 1 + c*E_ij, given as moves (i, j, c),
+        from the identity, breadth first: the rows of the elements in the
+        order found, and per generator s the find number of x * s for each
+        x in that order."""
+        add, mul = self.field.add, self.field.mul
         canon_rows = self._canon_rows
         quotient = len(self.scalar_subgroup) > 1
-
-        def step_by(g):
-            # x * (1 + c E_ij) adds c times column i to column j: n kernel
-            # calls instead of a matrix product (build_gl's generators all
-            # have this form; a diagonal one has c = d - 1)
-            moved = [(i, j) for i in range(n) for j in range(n) if g.rows[i][j] != int(i == j)]
-            if len(moved) != 1:
-                return lambda rows: MatElem._make(field, n, rows).mul(g).rows
-            (i, j), = moved
-            c = field.sub(g.rows[i][j], int(i == j))
-            return lambda rows: tuple([
-                r[:j] + (add(r[j], mul(c, r[i])),) + r[j + 1:] if r[i] else r for r in rows
-            ])
-
         found = [self.identity.rows]
         number = {found[0]: 0}
-        products = [array("I") for _ in self.gens]
-        steps = tuple((step_by(g), table) for g, table in zip(self.gens, products))
+        products = [array("I") for _ in moves]
+        steps = tuple((*move, table) for move, table in zip(moves, products))
         for x in found:  # grows while it is read
-            for step, table in steps:
-                y = step(x)
+            for i, j, c, table in steps:
+                # x * (1 + c E_ij) adds c times column i to column j: n kernel
+                # calls instead of a matrix product.  The generator is used as
+                # given, and only the product is made canonical.
+                y = tuple([r[:j] + (add(r[j], mul(c, r[i])),) + r[j + 1:] if r[i] else r for r in x])
                 if quotient:
                     y = canon_rows(y)
-                j = number.setdefault(y, len(found))
-                if j == len(found):
+                k = number.setdefault(y, len(found))
+                if k == len(found):
                     found.append(y)
-                table.append(j)
+                table.append(k)
         return found, products
 
     def __len__(self):
@@ -255,15 +255,15 @@ class MatGroup:
                     todo.append(y)
         return seen
 
-    def conjugacy_classes(self):
-        """(representative, size, frozenset of indices) per conjugation orbit
-        under gens, in order of the smallest index, which is the representative.
+    def conjugations(self) -> tuple[array, ...]:
+        """Per generator s, conjugation by s as a permutation of element
+        indices, built once.
 
-        Conjugation by s maps index i to left_s[right_s^-1[i]], so the orbits
-        are found on ints.  Transposition T is an anti-automorphism, so the
-        left table of s is T . right_t . T with t = s^T, when that is a
-        generator too (as in build_gl); otherwise it comes from products."""
-        if self._classes is None:
+        It maps i to left_s[right_s^-1[i]].  Transposition T is an
+        anti-automorphism and the generators are closed under it, so the
+        left table of s is T . right_t . T with t = s^T: no matrix product
+        is needed."""
+        if self._conjugations is None:
             size = len(self.elements)
             index, canon, make = self.index, self.canon, MatElem._make
             transpose = array("I", [
@@ -273,19 +273,23 @@ class MatGroup:
             gen_at = {index[g]: k for k, g in enumerate(self.gens)}
             maps = []
             for g, right in zip(self.gens, self.right):
-                t = gen_at.get(transpose[index[g]])
-                if t is None:
-                    left = array("I", [index[self.mul(g, x)] for x in self.elements])
-                else:
-                    right_t = self.right[t]
-                    left = array("I", [transpose[right_t[j]] for j in transpose])
+                right_t = self.right[gen_at[transpose[index[g]]]]
+                left = array("I", [transpose[right_t[j]] for j in transpose])
                 undo = array("I", [0]) * size
                 for i, j in enumerate(right):
                     undo[j] = i
                 maps.append(array("I", [left[j] for j in undo]))
-            seen = bytearray(size)
+            self._conjugations = tuple(maps)
+        return self._conjugations
+
+    def conjugacy_classes(self):
+        """(representative, size, frozenset of indices) per conjugation orbit
+        under gens, in order of the smallest index, which is the representative."""
+        if self._classes is None:
+            maps = self.conjugations()
+            seen = bytearray(len(self.elements))
             classes = []
-            for i in range(size):
+            for i in range(len(self.elements)):
                 if seen[i]:
                     continue
                 seen[i] = 1
@@ -332,9 +336,8 @@ def build_gl(
             a = mul(a, s)
     size = _gl_order(q, n) // len(s_elems)
     if size > cap:
-        raise ValueError(
-            f"enumeration cap exceeded: group order {size} > cap {cap}"
-        )
+        shown = size if size < 10**30 else f"of {size.bit_length()} bits"
+        raise ValueError(f"enumeration cap exceeded: group order {shown} > cap {cap}")
     g0 = _smallest_generator(field).index
     s_index = (q - 1) // len(s_elems)
     # multiplier taking g0^k to its transversal representative g0^(k mod s_index)
@@ -477,27 +480,30 @@ class GassmannCertificate:
 
 
 def _are_conjugate(G: MatGroup, H: Subgroup, Hp: Subgroup) -> bool:
-    """Whether g H g^-1 = H' for some g in G.  As |H| = |H'|, it is enough
-    that g maps the generators of H into H'; and as (gh) H (gh)^-1 = g H g^-1
-    for h in H, one g per left coset gH is tried."""
+    """Whether g H g^-1 = H' for some g in G: whether the index set of H'
+    lies in the orbit of that of H under conjugation by the generators."""
     if len(H) != len(Hp):
         return False
-    target = Hp.member_set
-    index, canon = G.index, G.canon
-    tried = bytearray(len(G))
-    for i, g in enumerate(G.elements):
-        if tried[i]:
-            continue
-        ginv = g.inverse()
-        if all(canon(g.mul(h).mul(ginv)) in target for h in H.gens):
+    index = G.index
+    target = frozenset(index[m] for m in Hp.members)
+    start = frozenset(index[m] for m in H.members)
+    seen = {start}
+    orbit = [start]
+    maps = G.conjugations()
+    for members in orbit:  # grows while it is read
+        if members == target:
             return True
-        for h in H.members:
-            tried[index[canon(g.mul(h))]] = 1
+        for c in maps:
+            image = frozenset([c[i] for i in members])
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
     return False
 
 
 def verify_gassmann(G: MatGroup, H: Subgroup, Hp: Subgroup) -> GassmannCertificate:
-    """Classwise fixed-point comparison plus non-conjugacy, one conjugator per coset of H."""
+    """Classwise fixed-point comparison plus non-conjugacy, by the orbit of H
+    under conjugation."""
     if H.parent is not G or Hp.parent is not G:
         raise ValueError("both subgroups must live in the given group")
     fix_h = permutation_character_fixpoints(G, H)

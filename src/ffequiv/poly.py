@@ -6,8 +6,11 @@ of monic irreducibles.  Instantiated over F_q with the variable read as T,
 this ring is A = F_q[T]; instantiated over a residue field with variable y it
 is where reductions get factored.
 
-A :class:`Poly` holds each coefficient as its integer index in the field
-(see :mod:`ffequiv.fields`) and computes with the field's int kernels.
+One dense class, ``_Dense``, holds the arithmetic of every polynomial ring
+here and reaches the coefficients through kernels named as a field's.  A
+:class:`Poly` holds each coefficient as its integer index in the field
+(see :mod:`ffequiv.fields`), and its field's int kernels are those of the
+coefficient ring; the rings over F_q[T] live in :mod:`ffequiv.twisted`.
 """
 
 from __future__ import annotations
@@ -27,14 +30,19 @@ class _Dense:
     trailing zeros trimmed.
 
     The zero polynomial is the empty coefficient tuple and reports the
-    sentinel degree -1.  A subclass supplies ``_czero``/``_cone``, the
-    coefficient zero and one as functions of the field, and ``_scalar``,
-    the coefficient type that ``*`` treats as a scalar.  ``_twist(c, i)``
-    moves a coefficient c past the i-th power of the variable; it is None
-    in a commutative ring.
+    sentinel degree -1.  Sums, differences, negation, scaling and products
+    reach the coefficients only through the ring's kernels, named as a
+    field's: ``add``, ``sub``, ``neg``, ``mul`` and ``addmul`` (acc[s + j]
+    += c * row[j] for a nonzero c).  A subclass supplies ``_ring``, the
+    object holding those kernels (None: the field itself, on indices),
+    ``_czero``/``_cone``, the coefficient zero and one as functions of the
+    field, and ``_scalar``, the coefficient type that ``*`` treats as a
+    scalar.  ``_twist(c, i)`` moves a coefficient c past the i-th power of
+    the variable; it is None in a commutative ring.
     """
 
     __slots__ = ("field", "coeffs")
+    _ring = None
     _scalar: type | tuple = ()
     _twist = None
 
@@ -44,6 +52,17 @@ class _Dense:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _make(cls, field: FiniteField, cs: list):
+        """The polynomial with coefficient list cs, trimmed in place and
+        not checked."""
+        while cs and not cs[-1]:
+            cs.pop()
+        out = object.__new__(cls)
+        out.field = field
+        out.coeffs = tuple(cs)
+        return out
 
     @classmethod
     def zero(cls, field: FiniteField):
@@ -72,7 +91,7 @@ class _Dense:
 
     @property
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one
+        return self.coeffs == (self._cone(self.field),)
 
     @property
     def leading(self):
@@ -101,32 +120,52 @@ class _Dense:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._check(other)
+        f = self.field
+        if other.field is not f:
+            self._check(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
+        add = (self._ring or f).add
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return type(self)(self.field, out)
+            if c:
+                out[i] = add(out[i], c)
+        return self._make(f, out)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-other)
+        f = self.field
+        if other.field is not f:
+            self._check(other)
+        a, b = self.coeffs, other.coeffs
+        sub = (self._ring or f).sub
+        out = list(a) + [self._czero(f)] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            if c:
+                out[i] = sub(out[i], c)
+        return self._make(f, out)
 
     def __neg__(self):
-        return type(self)(self.field, [-c for c in self.coeffs])
+        f = self.field
+        neg = (self._ring or f).neg
+        return self._make(f, [neg(c) for c in self.coeffs])
 
     def scale(self, c):
         """Coefficient-wise product with the scalar c."""
         if c.field != self.field:
             raise ValueError("scalar from a different field")
-        if c.is_zero:
-            return type(self)(self.field, ())
-        if c.is_one:
+        return self._scale(c)
+
+    def _scale(self, c):
+        f = self.field
+        if c == self._cone(f):
             return self
-        return type(self)(self.field, [a * c for a in self.coeffs])
+        if not c:
+            return self._make(f, [])
+        mul = (self._ring or f).mul
+        return self._make(f, [mul(a, c) for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, self._scalar):
@@ -138,17 +177,14 @@ class _Dense:
             self._check(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return type(self)(f, ())
-        nza = [i for i, c in enumerate(a) if not c.is_zero]
-        nzb = [(j, c) for j, c in enumerate(b) if not c.is_zero]
-        out = [self._czero(f)] * (len(a) + len(b) - 1)
+            return self._make(f, [])
+        addmul = (self._ring or f).addmul
         twist = self._twist
-        for i in nza:
-            ca = a[i]
-            row = nzb if twist is None else [(j, twist(c, i)) for j, c in nzb]
-            for j, cb in row:
-                out[i + j] = out[i + j] + ca * cb
-        return type(self)(f, out)
+        out = [self._czero(f)] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                addmul(out, c, b if twist is None else [twist(r, i) for r in b], i)
+        return self._make(f, out)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -170,22 +206,13 @@ class _Dense:
         return f"{type(self).__name__}[{', '.join(repr(c) for c in self.coeffs)}]"
 
 
-def _mk(field: FiniteField, cs: list[int]) -> "Poly":
-    """The Poly with coefficient indices cs, which are trimmed in place."""
-    while cs and not cs[-1]:
-        cs.pop()
-    out = object.__new__(Poly)
-    out.field = field
-    out.coeffs = tuple(cs)
-    return out
-
-
 class Poly(_Dense):
     """Polynomial with coefficients in a finite field.
 
-    ``coeffs`` holds each coefficient's integer index in the field.  The
-    constructor also takes FieldElements; ``leading``, ``coeff`` and
-    evaluation give FieldElements back.
+    ``coeffs`` holds each coefficient's integer index in the field, and
+    the field's int kernels are the coefficient ring's.  The constructor
+    also takes FieldElements; ``leading``, ``coeff`` and evaluation give
+    FieldElements back.
     """
 
     __slots__ = ()
@@ -224,10 +251,6 @@ class Poly(_Dense):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     @property
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    @property
     def leading(self) -> FieldElement:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -236,83 +259,30 @@ class Poly(_Dense):
     def coeff(self, i: int) -> FieldElement:
         return self.field.from_index(self.coeffs[i] if 0 <= i < len(self.coeffs) else 0)
 
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        f = self.field
-        if other.field is not f:
-            self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = f.add
-        out = list(a)
-        for i, c in enumerate(b):
-            if c:
-                out[i] = add(out[i], c)
-        return _mk(f, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        f = self.field
-        if other.field is not f:
-            self._check(other)
-        a, b = self.coeffs, other.coeffs
-        sub = f.sub
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            if c:
-                out[i] = sub(out[i], c)
-        return _mk(f, out)
-
-    def __neg__(self):
-        neg = self.field.neg
-        return _mk(self.field, [neg(c) for c in self.coeffs])
-
     def scale(self, c: FieldElement) -> "Poly":
         """Coefficient-wise product with the scalar c."""
         if c.field != self.field:
             raise ValueError("scalar from a different field")
         return self._scale(c.index)
 
-    def _scale(self, c: int) -> "Poly":
-        if c == 1:
-            return self
-        f = self.field
-        if not c:
-            return _mk(f, [])
-        mul = f.mul
-        return _mk(f, [mul(a, c) for a in self.coeffs])
-
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.scale(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        f = self.field
-        if other.field is not f:
-            self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _mk(f, [])
-        if a is b and f.p == 2:  # squaring is additive in characteristic 2
-            mul = f.mul
-            out = [0] * (2 * len(a) - 1)
-            out[::2] = [mul(c, c) for c in a]
-            return _mk(f, out)
-        if (
-            f.m == 1
-            and (len(a) - a.count(0)) * (len(b) - b.count(0)) > 4096
-            and (f.p - 1) ** 2 * min(len(a), len(b)) < (1 << 32)
-        ):
-            return _mk(f, _int_convolve(a, b, f.p))
-        out = [0] * (len(a) + len(b) - 1)
-        addmul = f.addmul
-        for i, c in enumerate(a):
-            if c:
-                addmul(out, c, b, i)
-        return _mk(f, out)
+        # two shortcuts for products of nonzero polynomials, ahead of the
+        # shared product loop
+        if isinstance(other, Poly) and other.field is self.field and self.coeffs and other.coeffs:
+            f = self.field
+            a, b = self.coeffs, other.coeffs
+            if a is b and f.p == 2:  # squaring is additive in characteristic 2
+                mul = f.mul
+                out = [0] * (2 * len(a) - 1)
+                out[::2] = [mul(c, c) for c in a]
+                return _mk(f, out)
+            if (
+                f.m == 1
+                and (len(a) - a.count(0)) * (len(b) - b.count(0)) > 4096
+                and (f.p - 1) ** 2 * min(len(a), len(b)) < (1 << 32)
+            ):
+                return _mk(f, _int_convolve(a, b, f.p))
+        return _Dense.__mul__(self, other)
 
     # Set on this class itself, so a wrapper (perfbench/tracer.py) can
     # replace Poly's reflected product alone.
@@ -389,6 +359,8 @@ class Poly(_Dense):
                 parts.append(f"{cs}*{var}" if "+" not in cs else f"({cs})*{var}")
         return "Poly(" + " + ".join(parts) + ")"
 
+
+_mk = Poly._make  # the Poly with coefficient indices cs, trimmed in place
 
 _U32_OK = array("I").itemsize == 4
 

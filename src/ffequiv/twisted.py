@@ -10,6 +10,7 @@ torsion operators flatten to ordinary polynomials in y via tau^i -> y^{q^i}.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from .fields import FiniteField
@@ -27,11 +28,25 @@ def _frob_power(b: Poly, i: int) -> Poly:
     return _mk(b.field, out)
 
 
+class _FqT:
+    """F_q[T] as a coefficient ring: a field's kernels, on Poly operands,
+    computed by Poly's operators."""
+
+    add, sub, neg, mul = operator.add, operator.sub, operator.neg, operator.mul
+
+    @staticmethod
+    def addmul(acc, c, row, s):
+        for j, r in enumerate(row, s):
+            if r:
+                acc[j] = acc[j] + c * r
+
+
 class _OverFqT(_Dense):
     """Dense polynomial with coefficients in F_q[T], each checked to lie
     over the ring's field."""
 
     __slots__ = ()
+    _ring = _FqT
     _czero = Poly.zero
     _cone = Poly.one
 

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -83,6 +84,22 @@ def test_deeply_nested_expression_is_bad_input(capsys):
     assert out == ""
     assert err.startswith("error: nesting deeper than 100 levels")
     assert err.count("\n") == 1
+
+
+def test_oversized_degrees_are_bad_input(capsys):
+    # each would otherwise build a polynomial of degree near 10^9
+    for argv in (
+        ["torsion", "--p", "3", "--rho", "tau^2 + T*tau + T", "--a", "T^999999999"],
+        ["factor", "--p", "3", "--prime", "T+1", "--poly", "y^999999999"],
+        ["torsion", "--p", "3", "--rho", "tau^999999999 + T", "--a", "T"],
+    ):
+        start = time.monotonic()
+        rc, out, err = run(capsys, argv)
+        assert time.monotonic() - start < 5, argv
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: degree above the limit of 1048576")
+        assert err.count("\n") == 1
 
 
 def test_factor_inert_prime(capsys):
@@ -286,6 +303,15 @@ def test_gassmann_cap_exceeded(capsys):
     )
     assert rc == 2
     assert err.startswith("error: enumeration cap exceeded")
+    assert len(err.splitlines()) == 1
+
+
+def test_gassmann_cap_message_for_a_huge_order(capsys):
+    # |GL_200(F_7)| has over 30 000 digits, more than Python converts to text
+    rc, out, err = run(capsys, ["gassmann", "--p", "7", "--n", "200", "--construction", "stabilizers"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: enumeration cap exceeded: group order of 112")
     assert len(err.splitlines()) == 1
 
 

@@ -322,6 +322,50 @@ def test_int_kernels_match_vector_arithmetic():
                 assert acc == [b, add(a, mul(c, b)), 0, add(b, mul(c, a)), a], (field, a, b)
 
 
+def _schoolbook_mul(field, a, b):
+    """a * b as digit vectors: the full product over F_p, then long division
+    by the monic modulus M."""
+    p, m, modulus = field.p, field.m, field.modulus
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(field.unpack(a)):
+        for j, y in enumerate(field.unpack(b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k]
+        for t, mt in enumerate(modulus):
+            prod[k - m + t] = (prod[k - m + t] - c * mt) % p
+    return field.pack(prod[:m])
+
+
+def test_odd_kernels_above_table_limit():
+    # odd characteristic above the table limit: the kernels work on unpacked
+    # digit vectors; the reference here is written out digit by digit
+    rng = random.Random(311)
+    for p, m in ((3, 11), (5, 7), (7, 6)):
+        field = extension_field(p, degree=m)
+        q = field.q
+        assert q > TABLE_LIMIT
+        pack, unpack = field.pack, field.unpack
+
+        def add(a, b):
+            return pack([(x + y) % p for x, y in zip(unpack(a), unpack(b))])
+
+        for _ in range(300):
+            a, b, c = (rng.randrange(q) for _ in range(3))
+            assert field.mul(a, b) == _schoolbook_mul(field, a, b), (field, a, b)
+            assert field.add(a, b) == add(a, b), (field, a, b)
+            assert field.sub(a, b) == pack([(x - y) % p for x, y in zip(unpack(a), unpack(b))])
+            assert field.neg(a) == pack([-x % p for x in unpack(a)]), (field, a)
+            if a:
+                assert field.mul(a, field.inv(a)) == 1, (field, a)
+                assert field.pow(a, q - 1) == 1, (field, a)
+            c = c or 1
+            acc = [b, a, 0, c]
+            field.addmul(acc, c, [a, 0, b], 1)
+            assert acc == [b, add(a, _schoolbook_mul(field, c, a)), 0,
+                           add(c, _schoolbook_mul(field, c, b))], (field, a, b, c)
+
+
 def test_inverse_is_q_minus_2_power():
     for field in (extension_field(2, degree=2), extension_field(3, degree=2),
                   extension_field(3, degree=5), extension_field(2, degree=10)):

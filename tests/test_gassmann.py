@@ -232,14 +232,16 @@ def test_right_tables_are_products():
             assert list(table) == [G.index[G.mul(x, g)] for x in G.elements]
 
 
-def test_classes_without_transposed_generators():
-    # generators whose transposes are not among them: the left tables come
-    # from products instead, and the classes stay those of GL_2(F_3)
+def test_generators_must_be_elementary_and_closed_under_transpose():
+    # MatGroup steps by column operations and gets its left tables by
+    # transposition, so it refuses generators that allow neither
     G = build_gl(2, F3)
-    upper = [G.gens[0], MatElem.from_ints(F3, [[1, 1], [0, 1]]), MatElem.from_ints(F3, [[0, 1], [1, 0]])]
-    H = MatGroup(F3, 2, G.scalar_subgroup, upper, G._canon_scalar)
-    assert H.elements == G.elements
-    assert H.conjugacy_classes() == _classes_by_all_conjugators(G)
+    swap = MatElem.from_ints(F3, [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="one entry"):
+        MatGroup(F3, 2, G.scalar_subgroup, [*G.gens, swap], G._canon_scalar)
+    upper = [G.gens[0], MatElem.from_ints(F3, [[1, 1], [0, 1]])]
+    with pytest.raises(ValueError, match="closed under transposition"):
+        MatGroup(F3, 2, G.scalar_subgroup, upper, G._canon_scalar)
 
 
 def test_certificate_example1(ex1_f3):
@@ -274,7 +276,7 @@ def _conjugated(G, H, g):
     return Subgroup(G, [G.mul(G.mul(g, h), ginv) for h in H.members])
 
 
-def test_conjugator_search_one_per_coset(gl2_f3, ex1_f3, monkeypatch):
+def test_conjugator_search_walks_the_orbit_of_H(gl2_f3, ex1_f3, monkeypatch):
     G3 = build_gl(3, F2)
     cases = [(gl2_f3, ex1_f3[0]), (G3, stabilizer_pair(G3)[0])]
     for G, H in cases:
@@ -283,17 +285,15 @@ def test_conjugator_search_one_per_coset(gl2_f3, ex1_f3, monkeypatch):
         assert Hg.member_set != H.member_set
         assert _are_conjugate(G, H, Hg) and _conjugate_by_members(G, H, Hg)
         assert _are_conjugate(G, Hg, H) and _conjugate_by_members(G, Hg, H)
-    # a Gassmann pair that is not conjugate: every coset of H is tried once,
-    # and each try inverts one matrix
+    # a Gassmann pair that is not conjugate is refuted on index sets alone,
+    # without inverting a matrix
     calls = []
     inverse = MatElem.inverse
     monkeypatch.setattr(MatElem, "inverse", lambda m: calls.append(m) or inverse(m))
     for G, H, Hp in [(gl2_f3, *ex1_f3), (G3, *stabilizer_pair(G3))]:
         calls.clear()
         assert not _are_conjugate(G, H, Hp)
-        tried = list(calls)
-        assert len(tried) == len(G) // len(H)
-        assert len({frozenset(G.mul(g, h) for h in H.members) for g in tried}) == len(tried)
+        assert calls == []
         assert not _conjugate_by_members(G, H, Hp)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ffequiv.exprs import (
+    DEGREE_LIMIT,
     MAX_NESTING,
     ParseError,
     parse,
@@ -15,7 +16,7 @@ from ffequiv.exprs import (
 )
 from ffequiv.fields import extension_field, prime_field
 from ffequiv.poly import Poly
-from ffequiv.twisted import TwistedPoly, YPoly
+from ffequiv.twisted import TORSION_LIMIT, TwistedPoly, YPoly
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -77,6 +78,29 @@ def test_twisted_rejects_nonmonomial_tau():
     for bad in ("tau*T", "(tau + T)*T", "T*(tau + 1)", "(T*tau)^2", "tau*tau"):
         with pytest.raises(ParseError):
             parse(bad, "twisted", F3)
+
+
+def test_degree_limit():
+    # the limit is the torsion limit, so that torsion output parses again
+    assert DEGREE_LIMIT == TORSION_LIMIT == 1 << 20
+    assert parse("T^1048576", "t_poly", F2).degree == DEGREE_LIMIT
+    refused = [
+        ("T^1048577", "t_poly", 1),
+        ("(T^1024)^1025", "t_poly", 8),
+        ("T^1048576*T", "t_poly", 9),
+        ("x^1048577", "x_poly", 1),
+        ("y^1048577 + 1", "y_poly", 1),
+        ("(T^1024*y)^1025", "y_poly", 10),
+        ("T^1048576*y*T", "y_poly", 11),
+        ("tau^1048577 + T", "twisted", 3),
+        ("(T^1024)^1025*tau", "twisted", 8),
+    ]
+    for text, mode, pos in refused:
+        with pytest.raises(ParseError, match=f"degree above the limit of {DEGREE_LIMIT} \\(position {pos}\\)"):
+            parse(text, mode, F3)
+    # field elements have no degree: a large power is one kernel call
+    F9 = extension_field(3, degree=2)
+    assert parse_element("x^999999999", F9) == F9.gen ** 999999999
 
 
 def test_mode_symbol_errors():
