@@ -17,8 +17,9 @@ for a nonzero c) when it is built, by kind:
   indices by XOR in characteristic 2 and through a Zech logarithm table
   (Z(d) = log(1 + g^d)) in odd characteristic;
 * a larger extension field of characteristic 2 multiplies indices as bit
-  patterns, by shift and XOR, reduced by the bits of M; one of odd
-  characteristic multiplies unpacked coefficient vectors.
+  patterns, by shift and XOR, reduced by the bits of M, and inverts them by
+  an extended Euclid on the same bits; one of odd characteristic multiplies
+  unpacked coefficient vectors.
 
 The kernels hold no reference to their field, so a field that is dropped
 is freed at once, without the cycle collector.
@@ -433,6 +434,20 @@ def _kernels(field: FiniteField) -> dict:
                     e >>= 1
                 return r
 
+            def inv(a):
+                # extended Euclid on bit patterns, keeping s*a = u and t*a = v
+                # mod M; each step cancels the top bit of u against v
+                if not a:
+                    raise ZeroDivisionError("zero has no inverse")
+                u, v, s, t = a, modulus, 1, 0
+                while u != 1:
+                    j = u.bit_length() - v.bit_length()
+                    if j < 0:
+                        u, v, s, t, j = v, u, t, s, -j
+                    u ^= v << j
+                    s ^= t << j
+                return s
+
         else:
             red = field._red
             pack, unpack = field.pack, field.unpack
@@ -454,8 +469,8 @@ def _kernels(field: FiniteField) -> dict:
             def neg(a):
                 return pack([-x % p for x in unpack(a)])
 
-        def inv(a):
-            return power(a, q - 2)
+            def inv(a):
+                return power(a, q - 2)
 
         def addmul(acc, c, row, s):
             for j, r in enumerate(row, s):

@@ -305,6 +305,12 @@ class MatGroup:
         return self._classes
 
 
+# build_gl refuses an order whose lower bound has more bits than this from
+# the bound alone: multiplying out an order of 2^17 bits takes about 0.1 s,
+# one of 2^20 bits 1-2 s.
+_EXACT_ORDER_BITS = 1 << 17
+
+
 def _gl_order(q: int, n: int) -> int:
     out = 1
     qn = q**n
@@ -334,6 +340,11 @@ def build_gl(
         while a not in s_elems:
             s_elems.add(a)
             a = mul(a, s)
+    # |GL_n(F_q)| = q^(n^2) * prod_j (1 - q^-j) > q^(n^2) / 4 and |S| <= q - 1,
+    # so the order is at least 2^low_bits: a bound that never builds the order
+    low_bits = n * n * (q.bit_length() - 1) - 2 - (q - 1).bit_length()
+    if low_bits > _EXACT_ORDER_BITS and low_bits >= cap.bit_length():
+        raise ValueError(f"enumeration cap exceeded: group order of over {low_bits} bits > cap {cap}")
     size = _gl_order(q, n) // len(s_elems)
     if size > cap:
         shown = size if size < 10**30 else f"of {size.bit_length()} bits"

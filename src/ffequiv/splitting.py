@@ -6,6 +6,14 @@ reduction is the splitting type at P.  Primes where the reduction drops
 degree or acquires a repeated factor are classified Bad and excluded from
 comparison, everything else is Good and contributes an equal/unequal row.
 
+Every residue field of a prime of degree d is F_{p^d}, so a batch comparison
+builds one field K_d per degree and walks its Frobenius orbits once: an orbit
+of size d is the root set of one prime P.  At P it evaluates each coefficient
+c(T) at a root alpha in K_d, which T -> alpha maps isomorphically from
+F_p[T]/(P).  Where K_d has no tables, or too few primes share it to repay the
+walk, a residue field is built for each prime instead and freed when the
+prime is done.
+
 A Good reduction is squarefree, so its splitting type follows from
 distinct-degree factorization alone; no factor is ever split further and
 nothing on this path is randomized.
@@ -15,11 +23,12 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .exprs import render_tpoly
-from .fields import FiniteField, _rebuild_field
+from .fields import TABLE_LIMIT, FiniteField, _rebuild_field, extension_field, prime_field
 from .poly import Poly, _distinct_degree, _mk, is_irreducible, monic_irreducibles, poly_gcd
 from .twisted import YPoly
 
@@ -121,11 +130,67 @@ def _reduce(f: YPoly, P: Poly, res: FiniteField) -> Poly:
     return _mk(res, [res.pack((c % P).coeffs) for c in f.coeffs])
 
 
-def _classify(f: YPoly, P: Poly, res: FiniteField) -> SideResult:
-    """Bad reason or split type of f at an already validated prime P."""
+# (p, d) -> (K_d, {P.coeffs: the index of a root of P in K_d})
+_ORBIT_ROOTS: dict[tuple[int, int], tuple[FiniteField, dict[tuple[int, ...], int]]] = {}
+
+
+def _orbit_roots(p: int, d: int) -> tuple[FiniteField, dict[tuple[int, ...], int]]:
+    """K_d = F_{p^d} and a root in it of every monic irreducible P of
+    degree d over F_p, keyed by P.coeffs.
+
+    A Frobenius orbit {b, b^p, b^(p^2), ...} of size d in K_d is the root
+    set of exactly one such P, the product of (y - c) over the orbit, whose
+    coefficients are prime-field constants, so one walk over K_d finds every
+    P with a root.  Cached per (p, d): K_d is interned and built once.
+    """
+    key = (p, d)
+    got = _ORBIT_ROOTS.get(key)
+    if got is not None:
+        return got
+    K = prime_field(p) if d == 1 else extension_field(p, degree=d)
+    power, neg, addmul = K.pow, K.neg, K.addmul
+    roots = {}
+    seen = bytearray(K.q)
+    for b in range(K.q):
+        if seen[b]:
+            continue
+        orbit = [b]
+        c = power(b, p)
+        while c != b:
+            orbit.append(c)
+            c = power(c, p)
+        for c in orbit:
+            seen[c] = 1
+        if len(orbit) == d:  # a smaller orbit lies in a proper subfield
+            prod = [1]
+            for c in orbit:
+                out = [0] + prod
+                if c:
+                    addmul(out, neg(c), prod, 0)
+                prod = out
+            roots[tuple(prod)] = b
+    got = _ORBIT_ROOTS[key] = (K, roots)
+    return got
+
+
+def _evaluate(f: YPoly, K: FiniteField, alpha: int) -> Poly:
+    """The image of f under T -> alpha, by Horner on indices of K.  For a
+    root alpha of the prime P, T -> alpha is an isomorphism from
+    F_p[T]/(P) onto K, so the image is f mod P up to that isomorphism."""
+    add, mul = K.add, K.mul
+    out = []
+    for c in f.coeffs:
+        acc = 0
+        for a in reversed(c.coeffs):
+            acc = add(mul(acc, alpha), a)
+        out.append(acc)
+    return _mk(K, out)
+
+
+def _classify(f: YPoly, r: Poly) -> SideResult:
+    """Bad reason or split type of f at a prime, from its image r there."""
     if f.is_zero:
         raise ValueError("cannot take the splitting type of the zero polynomial")
-    r = _reduce(f, P, res)
     if r.degree < f.degree:
         return SideResult("leading_coeff_vanishes", None)
     if r.degree < 1:
@@ -150,13 +215,32 @@ def reduce_mod_prime(f: YPoly, P: Poly) -> Poly:
 def split_type(f: YPoly, P: Poly) -> SideResult:
     """Classify one side at one prime: Bad reason or sorted degree multiset."""
     _check_prime(P)
-    return _classify(f, P, _residue_field(f.field, P))
+    return _classify(f, _reduce(f, P, _residue_field(f.field, P)))
 
 
-def _verdict_at(f: YPoly, g: YPoly, P: Poly) -> PrimeVerdict:
-    res = _residue_field(f.field, P, interned=False)
-    rf = _classify(f, P, res)
-    rg = _classify(g, P, res)
+def _orbits_pay(p: int, d: int, count: int) -> bool:
+    """Whether count primes of degree d over F_p cost less through
+    _orbit_roots than through a residue field each.  Only a field with
+    tables qualifies, for a cheap Frobenius.  Building K_d and walking its
+    orbits, about d/2 multiply-adds per element, costs as much as 2 (5^4) to
+    11 (2^16) residue-field builds of order p^d, roughly 1 + d/2 of them,
+    and each prime's reduction is cheaper on the orbit route."""
+    return p**d <= TABLE_LIMIT and 2 * count >= d + 2
+
+
+def _verdict_at(f: YPoly, g: YPoly, P: Poly, by_orbit: bool = False) -> PrimeVerdict:
+    """The verdict at P.  by_orbit evaluates f and g at a root of P in the
+    one field of its degree; otherwise they are reduced into a residue field
+    built for P alone."""
+    if by_orbit:
+        K, roots = _orbit_roots(P.field.p, P.degree)
+        alpha = roots[P.coeffs]
+        rf = _classify(f, _evaluate(f, K, alpha))
+        rg = _classify(g, _evaluate(g, K, alpha))
+    else:
+        res = _residue_field(f.field, P, interned=False)
+        rf = _classify(f, _reduce(f, P, res))
+        rg = _classify(g, _reduce(g, P, res))
     reason = None  # a degree drop on either side outranks a repeated factor
     for why in ("leading_coeff_vanishes", "repeated_factor"):
         for side, r in (("f", rf), ("g", rg)):
@@ -189,8 +273,10 @@ def irreducible_count(q: int, d: int) -> int:
     return total // d
 
 
-# Most primes one comparison takes: about 10 minutes at the 60 ms a prime
-# takes with residue fields of 3^10 elements, the largest that have tables.
+# Most primes one comparison takes.  Once the root map of its degree is
+# built, a prime whose field has tables takes 2.5 ms (3^10) to 4.4 ms (2^16),
+# under a minute for all of them.  A sampled prime of a degree above the
+# tables takes about 150 ms over F_3 (3^11 to 3^13), about 25 minutes in all.
 PRIME_COUNT_LIMIT = 10_000
 
 def _select_primes(field: FiniteField, selection: PrimeSelection, seed: int) -> list[Poly]:
@@ -242,12 +328,13 @@ def _select_primes(field: FiniteField, selection: PrimeSelection, seed: int) -> 
 _WORK: dict = {}
 
 
-def _init_worker(f, g):
-    _WORK["args"] = (f, g)
+def _init_worker(f, g, by_orbit):
+    _WORK["args"] = (f, g, by_orbit)
 
 
 def _run_worker(P):
-    return _verdict_at(*_WORK["args"], P)
+    f, g, by_orbit = _WORK["args"]
+    return _verdict_at(f, g, P, P.degree in by_orbit)
 
 
 @dataclass(frozen=True)
@@ -314,15 +401,19 @@ def compare_split_types(
     primes = _select_primes(f.field, selection, seed)
     if not primes:
         raise ValueError("empty prime selection")
+    # the degrees whose primes share one field and one root map
+    counts = Counter(P.degree for P in primes)
+    by_orbit = frozenset(d for d, n in counts.items() if _orbits_pay(f.field.p, d, n))
     workers = min(jobs, len(primes), os.cpu_count() or 1)
     if workers > 1:
         # imported here: it loads multiprocessing, which one worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
+        # each worker builds the root map of a degree once, when it first needs it
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(f, g)
+            max_workers=workers, initializer=_init_worker, initargs=(f, g, by_orbit)
         ) as pool:
             verdicts = tuple(pool.map(_run_worker, primes))
     else:
-        verdicts = tuple(_verdict_at(f, g, P) for P in primes)
+        verdicts = tuple(_verdict_at(f, g, P, P.degree in by_orbit) for P in primes)
     return EquivalenceReport(verdicts)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from ffequiv import splitting, twisted
+from ffequiv import gassmann, splitting, twisted
 from ffequiv.cli import _read_pair_source, load_pair, main
 
 DEG8_REPORT = """\
@@ -312,6 +312,19 @@ def test_gassmann_cap_message_for_a_huge_order(capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: enumeration cap exceeded: group order of 112")
+    assert len(err.splitlines()) == 1
+
+
+def test_gassmann_cap_refuses_before_the_order(capsys, monkeypatch):
+    # |GL_100000(F_2)| has about 10^10 bits: a lower bound refuses it at once
+    def refuse(*args):
+        raise AssertionError("exact group order computed")
+
+    monkeypatch.setattr(gassmann, "_gl_order", refuse)
+    rc, out, err = run(capsys, ["gassmann", "--p", "2", "--n", "100000", "--construction", "stabilizers"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: enumeration cap exceeded: group order of over ")
     assert len(err.splitlines()) == 1
 
 

@@ -374,6 +374,24 @@ def test_inverse_is_q_minus_2_power():
             assert field.from_index(i).inverse().index == power(i, field.q - 2), (field, i)
 
 
+def test_char2_inverse_above_table_limit():
+    # the carry-less kind inverts by an extended Euclid on bit patterns;
+    # the (q - 2)-th power is the independent reference
+    rng = random.Random(17)
+    for m in (17, 20):
+        field = extension_field(2, degree=m)
+        q = field.q
+        assert q > TABLE_LIMIT
+        samples = [1, 2, q - 1] + [rng.randrange(1, q) for _ in range(200)]
+        for a in samples:
+            b = field.inv(a)
+            assert 0 < b < q, (field, a)
+            assert field.mul(a, b) == 1, (field, a)
+            assert b == field.pow(a, q - 2), (field, a)
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
+
+
 def test_fields_freed_by_refcount():
     # no kernel, element or table may tie a field into a reference cycle,
     # so that a residue field's tables are freed as soon as its prime is done

@@ -1,0 +1,30 @@
+"""Byte-exact reports and exit codes of `ffequiv split-check`.
+
+Each file under golden/split/ is the stdout of the command next to it,
+recorded while every residue field was still built for its own prime; the
+one-field-per-degree route must leave every report as it is.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ffequiv.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "split"
+
+CASES = [
+    # (golden file, exit code, arguments after "split-check")
+    ("f3_deg7", 0, "--pair gl2_f3_deg8 --max-degree 7"),
+    ("f4_deg9", 0, "--pair gl2_f4_deg15 --max-degree 9"),
+    ("f3_s40_d10", 0, "--pair gl2_f3_deg8 --samples 40 --degree 10 --seed 0"),
+]
+
+
+@pytest.mark.parametrize("name,code,args", CASES, ids=[c[0] for c in CASES])
+def test_split_check_golden(capsys, name, code, args):
+    rc = main(["split-check", *args.split()])
+    cap = capsys.readouterr()
+    assert rc == code
+    assert cap.out == (GOLDEN / f"{name}.out").read_text("utf-8")
+    assert cap.err == ""

@@ -1,9 +1,14 @@
 import concurrent.futures
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ffequiv import fields, splitting
+from ffequiv import splitting
 from ffequiv.cli import _read_pair_source, load_pair
 from ffequiv.exprs import parse, render_residue_poly
 from ffequiv.fields import extension_field, prime_field
@@ -285,12 +290,74 @@ def test_selection_errors(pair1):
         compare_split_types(f, g, Sampled(splitting.PRIME_COUNT_LIMIT + 1, 12))
 
 
-def test_comparison_interns_no_residue_field(pair1):
-    # each prime's residue field, with its tables, goes when the prime is done
-    f, g = pair1
+INTERN_PROBE = """
+import json
+from ffequiv import fields, splitting
+from ffequiv.cli import _read_pair_source, load_pair
+
+pair = load_pair(_read_pair_source("gl2_f3_deg8"))
+out = {}
+for name, selection in (("exhaustive", splitting.Exhaustive(5)),
+                        ("sampled", splitting.Sampled(2, 7, seed=1))):
     before = set(fields._FIELD_CACHE)
-    compare_split_types(f, g, Exhaustive(3))
-    assert set(fields._FIELD_CACHE) == before
+    report = splitting.compare_split_types(pair.f, pair.g, selection)
+    out[name] = {
+        "primes": len(report.verdicts),
+        "degrees": [len(mod) - 1 for p, mod in fields._FIELD_CACHE if (p, mod) not in before],
+    }
+print(json.dumps(out))
+"""
+
+
+def test_comparison_interns_no_residue_field():
+    # In a fresh interpreter, so that no earlier test has interned a field:
+    # the orbit route interns one field per degree, which stays for later
+    # comparisons, and a per-prime residue field goes when its prime is done.
+    env = dict(os.environ, PYTHONPATH=str(Path(splitting.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", INTERN_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    exhaustive = got["exhaustive"]
+    assert exhaustive["primes"] == 80
+    assert sorted(exhaustive["degrees"]) == [2, 3, 4, 5]
+    assert got["sampled"] == {"primes": 2, "degrees": []}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_orbit_roots_cover_every_prime(p):
+    base = prime_field(p)
+    for d in range(1, 7):
+        K, roots = splitting._orbit_roots(p, d)
+        assert K.q == p**d
+        assert len(roots) == irreducible_count(p, d)
+        assert splitting._orbit_roots(p, d) == (K, roots)
+        for key, alpha in roots.items():
+            P = Poly.from_indices(base, key)
+            assert P.is_monic and P.degree == d
+            assert is_irreducible(P)
+            assert Poly(K, key)(K.from_index(alpha)).is_zero, (P, alpha)
+
+
+def test_orbit_route_only_where_it_pays():
+    assert not splitting._orbits_pay(3, 10, 3)  # --samples 3 --degree 10
+    assert splitting._orbits_pay(3, 10, 40)
+    assert splitting._orbits_pay(3, 5, irreducible_count(3, 5))
+    assert not splitting._orbits_pay(3, 11, 10_000)  # above the tables
+    assert not splitting._orbits_pay(2, 17, 10_000)
+
+
+@pytest.mark.parametrize("name", ["gl2_f3_deg8", "gl2_f4_deg15"])
+def test_orbit_route_agrees_with_residue_fields(name):
+    # evaluation at a root in the field of P's degree, against reduction
+    # into a residue field built for P alone
+    pair = load_pair(_read_pair_source(name))
+    for d in range(1, 6):
+        for prime in monic_irreducibles(pair.field, d):
+            by_orbit = splitting._verdict_at(pair.f, pair.g, prime, by_orbit=True)
+            per_prime = splitting._verdict_at(pair.f, pair.g, prime, by_orbit=False)
+            assert by_orbit == per_prime, prime
 
 
 def test_sampled_selection(pair1):
