@@ -80,15 +80,24 @@ def _read_pair_source(name: str) -> str:
     raise ValueError(f"no such pair file: {name}")
 
 
-def _field_for(args) -> FiniteField:
-    if getattr(args, "ext_modulus", None):
-        from .exprs import parse_modulus
+def _modulus(args) -> list[int] | None:
+    """The coefficients of --ext-modulus, low degree first; None without it."""
+    if not args.ext_modulus:
+        return None
+    from .exprs import parse_modulus
+
+    return parse_modulus(args.ext_modulus, args.p)
+
+
+def _field_for(p: int, modulus: list[int] | None) -> FiniteField:
+    """F_p, or F_p[x]/(modulus) once Rabin's test accepts the modulus."""
+    if modulus is not None:
         from .fields import extension_field
 
-        return extension_field(args.p, modulus=parse_modulus(args.ext_modulus, args.p))
+        return extension_field(p, modulus=modulus)
     from .fields import prime_field
 
-    return prime_field(args.p)
+    return prime_field(p)
 
 
 def cmd_torsion(args) -> int:
@@ -149,9 +158,9 @@ def cmd_split_check(args) -> int:
 
 
 def cmd_gassmann(args) -> int:
-    from .gassmann import build_gl, example1_subgroups, stabilizer_pair, verify_gassmann
+    from .gassmann import build_gl, check_cap, example1_subgroups, stabilizer_pair, verify_gassmann
 
-    field = _field_for(args)
+    # every refusal that needs no field comes before the modulus is tested
     if args.construction == "example1":
         if args.n != 2:
             raise ValueError("example1 is a GL_2 construction; use --n 2")
@@ -159,9 +168,15 @@ def cmd_gassmann(args) -> int:
             raise ValueError("example1 runs over a prime field")
         if args.scalar_subgroup != "1":
             raise ValueError("example1 uses the trivial scalar subgroup")
-        H, Hp = example1_subgroups(field)
+        H, Hp = example1_subgroups(_field_for(args.p, None))
         G = H.parent
     else:
+        if args.n < 2:
+            raise ValueError("stabilizer pair needs dimension at least 2")
+        modulus = _modulus(args)
+        if modulus is not None:
+            check_cap(args.p, len(modulus) - 1, args.n, args.cap)
+        field = _field_for(args.p, modulus)
         gen = None
         if args.scalar_subgroup != "1":
             from .exprs import parse_element
@@ -186,10 +201,20 @@ def _render_prime(P: Poly) -> str:
 def cmd_primes(args) -> int:
     if args.degree < 1:
         raise ValueError("degree must be at least 1")
-    from .poly import monic_irreducibles
+    from .poly import SIEVE_LIMIT, monic_irreducibles
 
-    field = _field_for(args)
-    primes = monic_irreducibles(field, args.degree)
+    modulus = _modulus(args)
+    if modulus is not None:
+        # the sieve's bound on (p^m)^degree candidates, checked before
+        # Rabin's test of the modulus; at e >= 25 digits p^e > 2^24
+        m = len(modulus) - 1
+        e = m * args.degree
+        if e >= SIEVE_LIMIT.bit_length() or args.p**e > SIEVE_LIMIT:
+            raise ValueError(
+                f"listing degree-{args.degree} irreducibles over GF({args.p}^{m}) sieves "
+                f"({args.p}^{m})^{args.degree} candidates, more than the limit of {SIEVE_LIMIT}"
+            )
+    primes = monic_irreducibles(_field_for(args.p, modulus), args.degree)
     for P in primes:
         print(_render_prime(P))
     print(f"count={len(primes)}")

@@ -8,8 +8,10 @@ An element is encoded by its index sum(c_i * p^i) over the coefficients
 c_i of its residue mod M, so the constant k of the prime field is the index
 k.  A :class:`FieldElement` holds that index, and the polynomial and matrix
 code work on bare indices.  Each field picks int kernels (``add``, ``sub``,
-``neg``, ``mul``, ``inv``, ``pow`` and ``addmul``: acc[s + j] += c * row[j]
-for a nonzero c) when it is built, by kind:
+``neg``, ``mul``, ``inv``, ``pow``, ``addmul``: acc[s + j] += c * row[j]
+for a nonzero c, and ``divrem``: the quotient and remainder of a
+coefficient sequence by one no longer whose last entry is nonzero) when it
+is built, by kind:
 
 * a prime field computes with plain ints mod p;
 * an extension field of order at most ``TABLE_LIMIT`` looks products up in
@@ -20,6 +22,12 @@ for a nonzero c) when it is built, by kind:
   patterns, by shift and XOR, reduced by the bits of M, and inverts them by
   an extended Euclid on the same bits; one of odd characteristic multiplies
   unpacked coefficient vectors.
+
+``divrem`` is a loop of ``addmul`` steps, except in characteristic 2 up to
+order ``PACKED_LIMIT`` = 256, where it packs one coefficient a byte: the
+remainder is one int, so subtracting a multiple of the divisor is one XOR,
+and the multiple is the divisor's bytes translated by the 256-byte table of
+its multiplier, built the first time that multiplier is used.
 
 The kernels hold no reference to their field, so a field that is dropped
 is freed at once, without the cycle collector.
@@ -37,6 +45,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
 # Largest order of an extension field with exp/log tables (about 16*q bytes).
 TABLE_LIMIT = 1 << 16
+# Largest order of a field of characteristic 2 whose division kernel packs
+# one coefficient a byte.
+PACKED_LIMIT = 1 << 8
 
 
 def is_prime(n: int) -> bool:
@@ -91,7 +102,7 @@ class FiniteField:
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_red", "_hash", "pack", "unpack",
-                 "add", "sub", "neg", "mul", "inv", "pow", "addmul")
+                 "add", "sub", "neg", "mul", "inv", "pow", "addmul", "divrem")
 
     def __init__(self, p: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -477,7 +488,74 @@ def _kernels(field: FiniteField) -> dict:
                 if r:
                     acc[j] = add(acc[j], mul(c, r))
 
-    return {"add": add, "sub": sub, "neg": neg, "mul": mul, "inv": inv, "pow": power, "addmul": addmul}
+    if p == 2 and q <= PACKED_LIMIT:
+        divrem = _packed_divrem(mul, inv, q)
+    else:
+
+        def divrem(a, b):
+            db = len(b) - 1
+            rem = list(a)
+            lead = b[-1]
+            binv = None if lead == 1 else inv(lead)  # monic divisors are the common case
+            quot = [0] * (len(rem) - db)
+            for k in range(len(rem) - db - 1, -1, -1):
+                c = rem[k + db]
+                if not c:
+                    continue
+                qc = c if binv is None else mul(c, binv)
+                quot[k] = qc
+                addmul(rem, neg(qc), b, k)  # clears rem[k + db]
+            return quot, rem[:db]
+
+    return {
+        "add": add, "sub": sub, "neg": neg, "mul": mul, "inv": inv, "pow": power,
+        "addmul": addmul, "divrem": divrem,
+    }
+
+
+def _packed_divrem(mul, inv, q: int):
+    """The division kernel of a field of characteristic 2 and order q <=
+    PACKED_LIMIT, one byte a coefficient.
+
+    The remainder is one int, coefficient i in byte i, so subtracting a
+    multiple of the divisor is one XOR.  The multiple c * b is the divisor's
+    bytes translated by the 256-byte table x -> c * x, built the first time
+    c is used and kept for the field's life; within one call the multiples
+    are kept as ints, so a multiplier costs one translation a call.
+    """
+    tables: dict[int, bytes] = {}
+
+    def table(c: int) -> bytes:
+        t = tables.get(c)
+        if t is None:
+            t = tables[c] = bytes([mul(c, x) for x in range(q)]) + bytes(256 - q)
+        return t
+
+    def divrem(a, b):
+        db = len(b) - 1
+        row = bytes(b)
+        lead = b[-1]
+        if lead != 1:
+            unit = table(inv(lead))
+            row = row.translate(unit)  # the monic associate of b
+        multiples = {1: int.from_bytes(row, "little")}
+        rem = int.from_bytes(bytes(a), "little")
+        quot = bytearray(len(a) - db)
+        shift = 8 * (len(a) - 1)
+        for k in range(len(a) - db - 1, -1, -1):
+            c = rem >> shift & 0xFF
+            shift -= 8
+            if c:
+                quot[k] = c
+                m = multiples.get(c)
+                if m is None:
+                    m = multiples[c] = int.from_bytes(row.translate(table(c)), "little")
+                rem ^= m << 8 * k  # clears byte k + db
+        if lead != 1:
+            quot = quot.translate(unit)
+        return list(quot), list(rem.to_bytes(db, "little"))
+
+    return divrem
 
 
 def _rebuild_field(p: int, modulus: tuple[int, ...] | None) -> FiniteField:

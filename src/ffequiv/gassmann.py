@@ -319,6 +319,17 @@ def _gl_order(q: int, n: int) -> int:
     return out
 
 
+def check_cap(p: int, m: int, n: int, cap: int) -> None:
+    """Refuse GL_n(F_q)/S, q = p^m, when build_gl's lower bound
+    q^(n^2)/(4(q-1)) on its order exceeds cap.  q is never formed, so this
+    can run before F_q is built and its modulus tested."""
+    # 2^(m*(b-1)) <= q < 2^(m*b) for b = p.bit_length()
+    b = p.bit_length()
+    low_bits = n * n * m * (b - 1) - 2 - m * b
+    if low_bits >= cap.bit_length():
+        raise ValueError(f"enumeration cap exceeded: group order of over {low_bits} bits > cap {cap}")
+
+
 def build_gl(
     n: int,
     field: FiniteField,

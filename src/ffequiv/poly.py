@@ -295,23 +295,10 @@ class Poly(_Dense):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        bq = other.coeffs
-        db = len(bq) - 1
-        rem = list(self.coeffs)
-        if len(rem) <= db:
+        if len(self.coeffs) < len(other.coeffs):
             return _mk(f, []), self
-        lead = bq[-1]
-        inv = None if lead == 1 else f.inv(lead)  # monic divisors are the common case
-        mul, neg, addmul = f.mul, f.neg, f.addmul
-        quot = [0] * (len(rem) - db)
-        for k in range(len(rem) - db - 1, -1, -1):
-            c = rem[k + db]
-            if not c:
-                continue
-            qc = c if inv is None else mul(c, inv)
-            quot[k] = qc
-            addmul(rem, neg(qc), bq, k)  # clears rem[k + db]
-        return _mk(f, quot), _mk(f, rem[:db])
+        quot, rem = f.divrem(self.coeffs, other.coeffs)
+        return _mk(f, quot), _mk(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -577,20 +564,20 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         u = _mk(field, [rng.randrange(q) for _ in range(f.degree)])
         if u.degree < 1:
             continue
-        g = poly_gcd(u, f)
-        if g.degree == 0:
-            if field.p == 2:
-                # absolute trace of u in F_{q^d} = F_2[x]/..., summed Frobenius orbit
-                v = u % f
-                acc = v
-                for _ in range(field.m * d - 1):
-                    acc = acc * acc % f
-                    v = (v + acc) % f
-            else:
-                v = pow_mod(u, (q**d - 1) // 2, f) - Poly.one(field)
-            if v.is_zero:
-                continue
-            g = poly_gcd(v, f)
+        # u need not be coprime to f: a u sharing a factor with f is rare,
+        # and the trace (the power, for odd p) splits f through gcd(v, f)
+        if field.p == 2:
+            # absolute trace of u in F_{q^d} = F_2[x]/..., summed Frobenius
+            # orbit; u and each term are below deg f, so their sum is too
+            v = acc = u
+            for _ in range(field.m * d - 1):
+                acc = acc * acc % f
+                v = v + acc
+        else:
+            v = pow_mod(u, (q**d - 1) // 2, f) - Poly.one(field)
+        if v.is_zero:
+            continue
+        g = poly_gcd(v, f)
         if 0 < g.degree < f.degree:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 

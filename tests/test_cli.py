@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from ffequiv import gassmann, splitting, twisted
+from ffequiv import fields, gassmann, splitting, twisted
 from ffequiv.cli import _read_pair_source, load_pair, main
 
 DEG8_REPORT = """\
@@ -289,7 +289,7 @@ def test_gassmann_cap_exceeded(capsys):
     )
     assert rc == 2
     assert "enumeration cap exceeded" in err
-    # the modulus x^4 + x + 6 over F_10007 is validated in well under a second
+    # over F_10007^4 the order bound refuses before x^4 + x + 6 is tested
     rc, _, err = run(
         capsys,
         [
@@ -328,7 +328,26 @@ def test_gassmann_cap_refuses_before_the_order(capsys, monkeypatch):
     assert len(err.splitlines()) == 1
 
 
-def test_gassmann_example1_needs_prime_field(capsys):
+def _refuse_extension_field(*args, **kwargs):
+    raise AssertionError("extension modulus tested")
+
+
+def test_gassmann_refuses_before_the_modulus(capsys, monkeypatch):
+    # Rabin's test of a degree-4000 modulus would come first and take seconds
+    monkeypatch.setattr(fields, "extension_field", _refuse_extension_field)
+    argv = ["gassmann", "--p", "2", "--ext-modulus", "x^4000+x+1", "--construction", "stabilizers"]
+    for n, message in [
+        ("2", "enumeration cap exceeded: group order of over 7998 bits > cap 1000000"),
+        ("1", "stabilizer pair needs dimension at least 2"),
+    ]:
+        rc, out, err = run(capsys, argv + ["--n", n])
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_gassmann_example1_needs_prime_field(capsys, monkeypatch):
+    monkeypatch.setattr(fields, "extension_field", _refuse_extension_field)
     rc, _, err = run(
         capsys,
         [
@@ -372,6 +391,18 @@ def test_primes_extension_field(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "count=6"  # (16 - 4) / 2
     assert lines[0] == "T^2 + T + 2"
+
+
+def test_primes_sieve_bound_before_the_modulus(capsys, monkeypatch):
+    # Rabin's test of a degree-999999 modulus would come first and not end
+    monkeypatch.setattr(fields, "extension_field", _refuse_extension_field)
+    rc, out, err = run(capsys, ["primes", "--p", "2", "--ext-modulus", "x^999999+1", "--degree", "1"])
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: listing degree-1 irreducibles over GF(2^999999) sieves (2^999999)^1 "
+        "candidates, more than the limit of 16777216\n"
+    )
 
 
 def test_primes_bad_degree(capsys):

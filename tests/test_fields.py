@@ -398,6 +398,7 @@ def test_fields_freed_by_refcount():
     kinds = {
         "prime": (7, None),
         "tables": (3, CANONICAL_MODULI[(3, 5)]),
+        "packed": (2, CANONICAL_MODULI[(2, 8)]),
         "clmul": (2, extension_field(2, degree=17).modulus),
         "vector": (3, extension_field(3, degree=11).modulus),
     }
@@ -409,6 +410,9 @@ def test_fields_freed_by_refcount():
             x = field.from_index(field.q - 1)
             assert (x * x.inverse() + field.zero).is_one
             assert field.mul(field.add(x.index, 1), 1) == (x + field.one).index
+            # c*y^2 + c*y + c = c*y * (y + 1) + c for c of index 2; the
+            # packed kernel builds the table of c here
+            assert field.divrem([2, 2, 2], [1, 1]) == ([0, 2], [2])
             del field, x
             assert gc.collect() == 0, kind
     finally:

@@ -20,6 +20,8 @@ F3 = prime_field(3)
 F4 = extension_field(2, degree=2)
 F9 = extension_field(3, degree=2)
 F243 = extension_field(3, degree=5)
+F8 = extension_field(2, degree=3)
+F256 = extension_field(2, degree=8)
 F1024 = extension_field(2, degree=10)
 F2_17 = extension_field(2, degree=17)  # too large for tables: vector kernels
 
@@ -78,6 +80,40 @@ def test_divmod_round_trip_random():
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.degree < b.degree
+
+
+@pytest.mark.parametrize("field", [F2, F4, F8, F256, F3], ids=repr)
+def test_divmod_kernel_checked_by_products(field):
+    # characteristic 2 up to order 256 divides one byte a coefficient; F_3
+    # keeps the generic loop.  Products and sums run on addmul, never on
+    # divmod, so a == quot * b + rem checks the kernel independently.
+    packed = field.p == 2 and field.q <= 256
+    assert ("_packed_divrem" in field.divrem.__qualname__) == packed
+    rng = random.Random(field.q)
+    q = field.q
+
+    def rand(deg, monic=False):
+        lead = 1 if monic else rng.randrange(1, q)
+        return Poly.from_indices(field, [rng.randrange(q) for _ in range(deg)] + [lead])
+
+    cases = []
+    for _ in range(150):
+        b = rand(rng.randrange(0, 25), monic=rng.random() < 0.3)  # degree 0 included
+        cases.append((rand(rng.randrange(0, 60)), b))
+    b, c = rand(7), rand(12)
+    cases += [
+        (rand(3), b),  # dividend shorter than the divisor
+        (Poly.zero(field), b),
+        (c * b, b),  # zero remainder
+        (rand(30), rand(0)),  # a unit divisor
+        (b, b),
+    ]
+    for a, d in cases:
+        quot, rem = divmod(a, d)
+        assert quot * d + rem == a
+        assert rem.degree < d.degree
+        assert (a // d, a % d) == (quot, rem)
+    assert divmod(c * b, b) == (c, Poly.zero(field))
 
 
 def test_big_multiply_matches_convolution():
@@ -191,7 +227,7 @@ def test_factor_agrees_with_trial_division_exhaustively():
 
 def test_factor_reassembly_random():
     rng = random.Random(20260822)
-    for field in (F2, F3, F4, F9):
+    for field in (F2, F3, F4, F8, F9):
         for trial in range(500):
             deg = rng.randrange(1, 13)
             idxs = [rng.randrange(field.q) for _ in range(deg)] + [rng.randrange(1, field.q)]
