@@ -190,11 +190,9 @@ def cmd_gassmann(args) -> int:
 
 
 def _render_prime(P: Poly) -> str:
-    from .exprs import _int_monomials, render_tpoly
+    from .exprs import _int_monomials
 
-    if P.field.m == 1:
-        return render_tpoly(P)
-    # extension coefficients shown by element index
+    # a coefficient is shown by its element index, its value in a prime field
     return " + ".join(_int_monomials(P.coeffs, "T"))
 
 

@@ -1,8 +1,9 @@
 """Exact arithmetic in finite fields F_p and F_{p^m} = F_p[x]/(M(x)).
 
-Field descriptors are immutable and interned: constructing the same field
-twice returns the same object, so elements built independently interoperate
-and identity checks are cheap.
+Field descriptors are immutable and interned while they are in use:
+constructing a field that is still alive returns the same object, so
+elements built independently interoperate and identity checks are cheap,
+and a field nothing holds any more is freed.
 
 An element is encoded by its index sum(c_i * p^i) over the coefficients
 c_i of its residue mod M, so the constant k of the prime field is the index
@@ -36,6 +37,7 @@ is freed at once, without the cycle collector.
 from __future__ import annotations
 
 import operator
+import weakref
 from array import array
 from typing import Iterator, Sequence
 
@@ -89,20 +91,22 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-_FIELD_CACHE: dict[tuple[int, tuple[int, ...] | None], "FiniteField"] = {}
+# (p, modulus) -> the field, for as long as anything else holds it
+_FIELD_CACHE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class FiniteField:
     """Descriptor for F_p (m == 1) or F_{p^m} = F_p[x]/(M(x)), M monic irreducible.
 
     Do not instantiate directly; use :func:`prime_field` or
-    :func:`extension_field` so descriptors are validated and interned.
+    :func:`extension_field` so descriptors are validated and interned, for
+    as long as anything holds them (a dropped field is freed with its tables).
     ``pack`` and ``unpack`` convert between an index and its m base-p
     digits; they and the int kernels are attributes.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_red", "_hash", "pack", "unpack",
-                 "add", "sub", "neg", "mul", "inv", "pow", "addmul", "divrem")
+                 "add", "sub", "neg", "mul", "inv", "pow", "addmul", "divrem", "__weakref__")
 
     def __init__(self, p: int, modulus: tuple[int, ...] | None):
         self.p = p

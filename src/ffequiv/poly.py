@@ -20,7 +20,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Generator, Iterable, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .fields import FieldElement, FiniteField, _prime_divisors
 
@@ -267,7 +267,7 @@ class Poly(_Dense):
 
     def __mul__(self, other):
         # two shortcuts for products of nonzero polynomials, ahead of the
-        # shared product loop
+        # shared product loop, which is handed the sparser factor first
         if isinstance(other, Poly) and other.field is self.field and self.coeffs and other.coeffs:
             f = self.field
             a, b = self.coeffs, other.coeffs
@@ -276,12 +276,11 @@ class Poly(_Dense):
                 out = [0] * (2 * len(a) - 1)
                 out[::2] = [mul(c, c) for c in a]
                 return _mk(f, out)
-            if (
-                f.m == 1
-                and (len(a) - a.count(0)) * (len(b) - b.count(0)) > 4096
-                and (f.p - 1) ** 2 * min(len(a), len(b)) < (1 << 32)
-            ):
+            na, nb = len(a) - a.count(0), len(b) - b.count(0)
+            if f.m == 1 and na * nb > 4096 and (f.p - 1) ** 2 * min(len(a), len(b)) < (1 << 32):
                 return _mk(f, _int_convolve(a, b, f.p))
+            if nb < na:  # one addmul per nonzero of the first factor
+                return _Dense.__mul__(other, self)
         return _Dense.__mul__(self, other)
 
     # Set on this class itself, so a wrapper (perfbench/tracer.py) can
@@ -672,14 +671,21 @@ def monic_irreducibles(field: FiniteField, d: int) -> list[Poly]:
     return [_mk(field, _digits(idx, q, d) + [1]) for idx in _irr_packed(field, d)]
 
 
+def _random_irreducibles(field: FiniteField, d: int, rng: random.Random) -> Iterator[Poly]:
+    """Distinct monic irreducibles of degree d, drawn from rng by rejection;
+    a candidate already yielded is rejected before Rabin's test."""
+    q = field.q
+    seen = set()
+    while True:
+        cand = _mk(field, [rng.randrange(q) for _ in range(d)] + [1])
+        if cand not in seen and is_irreducible(cand):
+            seen.add(cand)
+            yield cand
+
+
 def random_irreducible(field: FiniteField, d: int, seed: int = 0) -> Poly:
     """Rejection-sample a monic irreducible of degree d; deterministic for a
     given seed."""
     if d < 1:
         raise ValueError("degree must be positive")
-    rng = random.Random(seed)
-    q = field.q
-    while True:
-        cand = _mk(field, [rng.randrange(q) for _ in range(d)] + [1])
-        if is_irreducible(cand):
-            return cand
+    return next(_random_irreducibles(field, d, random.Random(seed)))

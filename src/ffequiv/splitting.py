@@ -6,13 +6,14 @@ reduction is the splitting type at P.  Primes where the reduction drops
 degree or acquires a repeated factor are classified Bad and excluded from
 comparison, everything else is Good and contributes an equal/unequal row.
 
-Every residue field of a prime of degree d is F_{p^d}, so a batch comparison
-builds one field K_d per degree and walks its Frobenius orbits once: an orbit
-of size d is the root set of one prime P.  At P it evaluates each coefficient
-c(T) at a root alpha in K_d, which T -> alpha maps isomorphically from
-F_p[T]/(P).  Where K_d has no tables, or too few primes share it to repay the
-walk, a residue field is built for each prime instead and freed when the
-prime is done.
+Every reduction is an evaluation: f mod P is read as the image of f under
+T -> alpha for a root alpha of P in a field K of order p^d, d = deg P, an
+isomorphism from F_p[T]/(P) onto K.  Every residue field of a prime of
+degree d is F_{p^d}, so a batch comparison builds one field K_d per degree
+and walks its Frobenius orbits once: an orbit of size d is the root set of
+one prime P.  Where K_d has no tables, or too few primes share it to repay
+the walk, K is F_p[T]/(P) itself, with the class of T as its root, and is
+freed when the prime is done.
 
 A Good reduction is squarefree, so its splitting type follows from
 distinct-degree factorization alone; no factor is ever split further and
@@ -29,7 +30,8 @@ from typing import Optional, Union
 
 from .exprs import render_tpoly
 from .fields import TABLE_LIMIT, FiniteField, _rebuild_field, extension_field, prime_field
-from .poly import Poly, _distinct_degree, _mk, is_irreducible, monic_irreducibles, poly_gcd
+from .poly import (Poly, _distinct_degree, _mk, _random_irreducibles, is_irreducible,
+                   monic_irreducibles, poly_gcd)
 from .twisted import YPoly
 
 
@@ -104,30 +106,13 @@ class Sampled:
 PrimeSelection = Union[Exhaustive, Sampled]
 
 
-def _check_prime(P: Poly):
+def _check_prime(f: YPoly, P: Poly):
     if not P.is_monic:
         raise ValueError("P must be monic")
     if not is_irreducible(P):
         raise ValueError("P must be irreducible")
-
-
-def _residue_field(base: FiniteField, P: Poly, interned: bool = True) -> FiniteField:
-    """F_q[T]/(P) for a prime P over the prime field base.  P is already
-    validated, so the field is built without testing P again.  The batch
-    comparison asks for a field that is not interned, so that its tables
-    can be freed once its prime is done."""
-    if base.m != 1:
-        raise ValueError("reduction is implemented over prime base fields only")
-    if P.field is not base:
+    if P.field is not f.field:
         raise ValueError("P must live over the same base field as f")
-    if P.degree == 1:
-        return base
-    return (_rebuild_field if interned else FiniteField)(base.p, P.coeffs)
-
-
-def _reduce(f: YPoly, P: Poly, res: FiniteField) -> Poly:
-    # over a prime field a coefficient's index is its value
-    return _mk(res, [res.pack((c % P).coeffs) for c in f.coeffs])
 
 
 # (p, d) -> (K_d, {P.coeffs: the index of a root of P in K_d})
@@ -173,6 +158,23 @@ def _orbit_roots(p: int, d: int) -> tuple[FiniteField, dict[tuple[int, ...], int
     return got
 
 
+def _root(P: Poly, by_orbit: bool) -> tuple[FiniteField, int]:
+    """A field K of order p^d and the index of a root of P in it, for a
+    prime P of degree d over a prime field.  by_orbit takes K_d and the root
+    from _orbit_roots; otherwise K is F_p[T]/(P), where the class of T is a
+    root, or the base field, where -c_0 is the root of T + c_0.  P is not
+    tested here: every caller has a prime already."""
+    base = P.field
+    if base.m != 1:
+        raise ValueError("reduction is implemented over prime base fields only")
+    if by_orbit:
+        K, roots = _orbit_roots(base.p, P.degree)
+        return K, roots[P.coeffs]
+    if P.degree == 1:
+        return base, base.neg(P.coeffs[0])
+    return _rebuild_field(base.p, P.coeffs), base.p
+
+
 def _evaluate(f: YPoly, K: FiniteField, alpha: int) -> Poly:
     """The image of f under T -> alpha, by Horner on indices of K.  For a
     root alpha of the prime P, T -> alpha is an isomorphism from
@@ -208,14 +210,14 @@ def reduce_mod_prime(f: YPoly, P: Poly) -> Poly:
     The result is a univariate polynomial over the residue field; its degree
     drops when the leading coefficient of f lies in (P).
     """
-    _check_prime(P)
-    return _reduce(f, P, _residue_field(f.field, P))
+    _check_prime(f, P)
+    return _evaluate(f, *_root(P, False))
 
 
 def split_type(f: YPoly, P: Poly) -> SideResult:
     """Classify one side at one prime: Bad reason or sorted degree multiset."""
-    _check_prime(P)
-    return _classify(f, _reduce(f, P, _residue_field(f.field, P)))
+    _check_prime(f, P)
+    return _classify(f, _evaluate(f, *_root(P, False)))
 
 
 def _orbits_pay(p: int, d: int, count: int) -> bool:
@@ -228,19 +230,11 @@ def _orbits_pay(p: int, d: int, count: int) -> bool:
     return p**d <= TABLE_LIMIT and 2 * count >= d + 2
 
 
-def _verdict_at(f: YPoly, g: YPoly, P: Poly, by_orbit: bool = False) -> PrimeVerdict:
-    """The verdict at P.  by_orbit evaluates f and g at a root of P in the
-    one field of its degree; otherwise they are reduced into a residue field
-    built for P alone."""
-    if by_orbit:
-        K, roots = _orbit_roots(P.field.p, P.degree)
-        alpha = roots[P.coeffs]
-        rf = _classify(f, _evaluate(f, K, alpha))
-        rg = _classify(g, _evaluate(g, K, alpha))
-    else:
-        res = _residue_field(f.field, P, interned=False)
-        rf = _classify(f, _reduce(f, P, res))
-        rg = _classify(g, _reduce(g, P, res))
+def _verdict_at(f: YPoly, g: YPoly, P: Poly, by_orbit: bool) -> PrimeVerdict:
+    """The verdict at P, from f and g evaluated at the root _root gives."""
+    K, alpha = _root(P, by_orbit)
+    rf = _classify(f, _evaluate(f, K, alpha))
+    rg = _classify(g, _evaluate(g, K, alpha))
     reason = None  # a degree drop on either side outranks a repeated factor
     for why in ("leading_coeff_vanishes", "repeated_factor"):
         for side, r in (("f", rf), ("g", rg)):
@@ -310,18 +304,8 @@ def _select_primes(field: FiniteField, selection: PrimeSelection, seed: int) -> 
                 f"{PRIME_COUNT_LIMIT} for one comparison"
             )
         rng = random.Random(seed if selection.seed is None else selection.seed)
-        q = field.q
-        seen = set()
-        out = []
-        while len(out) < selection.count:
-            cand = Poly.from_indices(
-                field, [rng.randrange(q) for _ in range(selection.degree)] + [1]
-            )
-            if cand in seen or not is_irreducible(cand):
-                continue
-            seen.add(cand)
-            out.append(cand)
-        return out
+        draws = _random_irreducibles(field, selection.degree, rng)
+        return [next(draws) for _ in range(selection.count)]
     raise TypeError(f"unknown prime selection {selection!r}")
 
 

@@ -8,6 +8,7 @@ import pytest
 from ffequiv.fields import (
     PRIME_LIMIT,
     TABLE_LIMIT,
+    _FIELD_CACHE,
     FiniteField,
     _smallest_generator,
     _vec_mul,
@@ -103,6 +104,16 @@ def test_interning_and_equality():
     d = extension_field(10007, modulus=[6, 1, 0, 0, 1])
     assert d.q == 10007**4
     assert d is extension_field(10007, modulus=[6, 1, 0, 0, 1, 0])
+
+
+def test_interned_only_while_held():
+    key = (5, (2, 3, 0, 1))  # x^3 + 3x + 2, a modulus no other test builds
+    assert key not in _FIELD_CACHE
+    a = extension_field(5, modulus=[2, 3, 0, 1])
+    assert _FIELD_CACHE[key] is a
+    assert extension_field(5, modulus=[2, 3, 0, 1, 0]) is a
+    del a
+    assert key not in _FIELD_CACHE
 
 
 def test_alternate_modulus_distinct_field():

@@ -132,6 +132,25 @@ def test_big_multiply_matches_convolution():
         assert prod == Poly.from_ints(field, ref)
 
 
+def test_product_loops_over_sparser_factor(monkeypatch):
+    # one addmul per nonzero coefficient of the sparser factor, in either order
+    calls = []
+    addmul = F2.addmul
+
+    def counting(*args):
+        calls.append(args)
+        return addmul(*args)
+
+    monkeypatch.setattr(F2, "addmul", counting)
+    dense = Poly.from_ints(F2, [1] * 50)
+    x1000 = Poly.from_ints(F2, [0] * 1000 + [1])
+    want = Poly.from_ints(F2, [0] * 1000 + [1] * 50)
+    assert dense * x1000 == want
+    assert len(calls) == 1
+    assert x1000 * dense == want
+    assert len(calls) == 2
+
+
 def test_evaluate_and_derivative():
     f = P(F3, 2, 0, 1)  # T^2 + 2
     assert f(F3(1)) == F3(0)

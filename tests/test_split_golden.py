@@ -1,8 +1,10 @@
 """Byte-exact reports and exit codes of `ffequiv split-check`.
 
-Each file under golden/split/ is the stdout of the command next to it,
-recorded while every residue field was still built for its own prime; the
-one-field-per-degree route must leave every report as it is.
+Each file under golden/split/ is the stdout of the command next to it.  The
+first three were recorded while every residue field was still built for its
+own prime, the last three while a prime off the orbit route was still
+reduced by polynomial remainders; each route must leave every report as it
+is.
 """
 
 from pathlib import Path
@@ -18,6 +20,11 @@ CASES = [
     ("f3_deg7", 0, "--pair gl2_f3_deg8 --max-degree 7"),
     ("f4_deg9", 0, "--pair gl2_f4_deg15 --max-degree 9"),
     ("f3_s40_d10", 0, "--pair gl2_f3_deg8 --samples 40 --degree 10 --seed 0"),
+    # too few primes of a tabled degree to repay its orbit walk
+    ("f3_s3_d10", 0, "--pair gl2_f3_deg8 --samples 3 --degree 10"),
+    # degrees above fields.TABLE_LIMIT, in odd characteristic and in 2
+    ("f3_s3_d11", 0, "--pair gl2_f3_deg8 --samples 3 --degree 11"),
+    ("f4_s4_d17", 0, "--pair gl2_f4_deg15 --samples 4 --degree 17"),
 ]
 
 

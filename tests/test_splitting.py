@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from ffequiv import splitting
+from ffequiv import fields, splitting
 from ffequiv.cli import _read_pair_source, load_pair
 from ffequiv.exprs import parse, render_residue_poly
 from ffequiv.fields import extension_field, prime_field
-from ffequiv.poly import Poly, factor, is_irreducible, monic_irreducibles, poly_gcd
+from ffequiv.poly import Poly, _mk, factor, is_irreducible, monic_irreducibles, poly_gcd
 from ffequiv.splitting import (
     Exhaustive,
     Sampled,
@@ -350,14 +350,33 @@ def test_orbit_route_only_where_it_pays():
 
 @pytest.mark.parametrize("name", ["gl2_f3_deg8", "gl2_f4_deg15"])
 def test_orbit_route_agrees_with_residue_fields(name):
-    # evaluation at a root in the field of P's degree, against reduction
-    # into a residue field built for P alone
+    # evaluation at a root in the field of P's degree and at the class of T
+    # in F_p[T]/(P), against each coefficient reduced mod P in that field
     pair = load_pair(_read_pair_source(name))
+    base = pair.field
     for d in range(1, 6):
-        for prime in monic_irreducibles(pair.field, d):
+        for prime in monic_irreducibles(base, d):
+            res = base if d == 1 else extension_field(base.p, modulus=prime.coeffs)
+            want = []
+            for h in (pair.f, pair.g):
+                red = _mk(res, [res.pack((c % prime).coeffs) for c in h.coeffs])
+                assert reduce_mod_prime(h, prime) == red, prime
+                want.append(splitting._classify(h, red))
             by_orbit = splitting._verdict_at(pair.f, pair.g, prime, by_orbit=True)
             per_prime = splitting._verdict_at(pair.f, pair.g, prime, by_orbit=False)
             assert by_orbit == per_prime, prime
+            assert (by_orbit.type_f, by_orbit.type_g) == (want[0].split, want[1].split)
+            assert by_orbit.is_bad == (want[0].is_bad or want[1].is_bad), prime
+
+
+def test_reductions_keep_no_residue_field(pair1):
+    # a residue field stays interned only while something holds it
+    f, _ = pair1
+    start = len(fields._FIELD_CACHE)
+    for prime in monic_irreducibles(F3, 6)[:25] + monic_irreducibles(F3, 7)[:25]:
+        split_type(f, prime)
+        reduce_mod_prime(f, prime)
+    assert len(fields._FIELD_CACHE) == start
 
 
 def test_sampled_selection(pair1):
