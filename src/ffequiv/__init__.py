@@ -71,3 +71,47 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+class _Record:
+    """Base of the immutable value records: a subclass names its fields in
+    ``__slots__`` and the defaults of trailing ones in ``_defaults``.
+    Records are built from positional or keyword arguments, compare and
+    hash by class and values, refuse assignment, and pickle through their
+    constructor.  Not ``dataclasses``, which loads ``inspect`` at start-up.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        given = dict(zip(names, args), **kwargs)
+        if len(args) > len(names) or len(given) < len(args) + len(kwargs) or not (
+                set(names) - self._defaults.keys() <= given.keys() <= set(names)):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, given[name] if name in given else self._defaults[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -15,25 +15,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from . import _Record
 
 # Annotations only: each command imports what it runs, so that a start-up
 # loads no module the chosen command does not use.
 if TYPE_CHECKING:
     from .fields import FiniteField
     from .poly import Poly
-    from .twisted import YPoly
 
 PAIR_KEYS = frozenset({"p", "f", "g", "description"})
 
 
-@dataclass(frozen=True)
-class PairData:
-    field: FiniteField
-    f: YPoly
-    g: YPoly
-    description: str
+class PairData(_Record):
+    __slots__ = ("field", "f", "g", "description")
 
 
 def load_pair(text: str) -> PairData:

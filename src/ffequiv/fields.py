@@ -15,9 +15,15 @@ coefficient sequence by one no longer whose last entry is nonzero) when it
 is built, by kind:
 
 * a prime field computes with plain ints mod p;
-* an extension field of order at most ``TABLE_LIMIT`` looks products up in
-  exp/log tables built from its smallest primitive element; it adds
-  indices by XOR in characteristic 2 and through a Zech logarithm table
+* an extension field of order at most ``PACKED_LIMIT`` = 256 reads full
+  byte tables: the product row x -> c * x of every c, and in odd
+  characteristic the addition table ADD[a << 8 | b], both built by
+  ``bytes.translate`` (see :func:`_byte_tables`); ``addmul`` is then
+  acc[j] = ADD[acc[j] << 8 | row_c[r]], or acc[j] ^= row_c[r] in
+  characteristic 2;
+* one of order at most ``TABLE_LIMIT`` looks products up in exp/log tables
+  built from its smallest primitive element; it adds indices by XOR in
+  characteristic 2 and through a Zech logarithm table
   (Z(d) = log(1 + g^d)) in odd characteristic;
 * a larger extension field of characteristic 2 multiplies indices as bit
   patterns, by shift and XOR, reduced by the bits of M, and inverts them by
@@ -25,10 +31,10 @@ is built, by kind:
   unpacked coefficient vectors.
 
 ``divrem`` is a loop of ``addmul`` steps, except in characteristic 2 up to
-order ``PACKED_LIMIT`` = 256, where it packs one coefficient a byte: the
+order ``PACKED_LIMIT``, where it packs one coefficient a byte: the
 remainder is one int, so subtracting a multiple of the divisor is one XOR,
-and the multiple is the divisor's bytes translated by the 256-byte table of
-its multiplier, built the first time that multiplier is used.
+and the multiple is the divisor's bytes translated by the product row of
+its multiplier.
 
 The kernels hold no reference to their field, so a field that is dropped
 is freed at once, without the cycle collector.
@@ -47,8 +53,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
 # Largest order of an extension field with exp/log tables (about 16*q bytes).
 TABLE_LIMIT = 1 << 16
-# Largest order of a field of characteristic 2 whose division kernel packs
-# one coefficient a byte.
+# Largest order of an extension field with full byte tables (about 2*256*q
+# bytes), and of a field of characteristic 2 whose division kernel packs one
+# coefficient a byte.
 PACKED_LIMIT = 1 << 8
 
 
@@ -329,9 +336,44 @@ def _exp_log(field: FiniteField) -> tuple[array, array]:
     return exp, log
 
 
+def _byte_tables(field: FiniteField) -> tuple[list[bytes], bytes | None, list[int], list[int]]:
+    """For order q <= PACKED_LIMIT: the product rows rows[c][x] = c * x (256
+    bytes each), the addition table ADD[a << 8 | b] = a + b (None in
+    characteristic 2), and exp[k] = g^k, log[g^k] = k (k < q - 1) for the
+    smallest primitive element g.  Each row is a translation of another:
+    the row of a is the row of a - p^k translated by "add 1 to digit k",
+    for the lowest nonzero digit k of a; the row of g^k is the row of
+    g^(k-1) translated by the row of g, which is F_p-linear in x."""
+    p, m, q = field.p, field.m, field.q
+    ident = bytes(range(256))
+    low = [0] + [p ** next(k for k in range(m) if a // p**k % p) for a in range(1, q)]
+    table = None
+    if p != 2:
+        shift = {s: bytes(b - (p - 1) * s if b // s % p == p - 1 else b + s for b in range(q))
+                 + bytes(256 - q) for s in (p**k for k in range(m))}
+        add_rows = [ident]
+        for a in range(1, q):
+            add_rows.append(add_rows[a - low[a]].translate(shift[low[a]]))
+        table = b"".join(add_rows)
+    g = field.unpack(_smallest_generator(field).index)
+    image = {s: field.pack(_vec_mul(p, field._red, g, field.unpack(s))) for s in set(low[1:])}
+    grow = bytearray(256)
+    for a in range(1, q):
+        b, c = grow[a - low[a]], image[low[a]]
+        grow[a] = b ^ c if p == 2 else table[b << 8 | c]
+    grow = bytes(grow)
+    rows, exp, log = [bytes(256)] * q, [1] * (q - 1), [0] * q
+    rows[1], row = ident, grow
+    for k in range(1, q - 1):
+        rows[row[1]], exp[k], log[row[1]] = row, row[1], k
+        row = row.translate(grow)
+    return rows, table, exp, log
+
+
 def _kernels(field: FiniteField) -> dict:
     """The int kernels of the field (see the module docstring)."""
     p, m, q = field.p, field.m, field.q
+    rows = None  # the product rows of a field of order <= PACKED_LIMIT
     if m == 1:
 
         def add(a, b):
@@ -357,15 +399,25 @@ def _kernels(field: FiniteField) -> dict:
                 if r:
                     acc[j] = (acc[j] + c * r) % p
 
+        if p == 2:
+            rows = [bytes(256), bytes(range(256))]
+
     elif q <= TABLE_LIMIT:
         n = q - 1
-        exp, log = _exp_log(field)
+        if q <= PACKED_LIMIT:
+            rows, table, exp, log = _byte_tables(field)
 
-        def mul(a, b):
-            return exp[log[a] + log[b]] if a and b else 0
+            def mul(a, b):
+                return rows[a][b]
+
+        else:
+            exp, log = _exp_log(field)
+
+            def mul(a, b):
+                return exp[log[a] + log[b]] if a and b else 0
 
         def inv(a):
-            return exp[n - log[a]]
+            return exp[-log[a]]
 
         def power(a, e):
             if not a:
@@ -378,11 +430,37 @@ def _kernels(field: FiniteField) -> dict:
             def neg(a):
                 return a
 
+            if rows is not None:
+
+                def addmul(acc, c, row, s):
+                    mc = rows[c]
+                    for j, r in enumerate(row, s):
+                        acc[j] ^= mc[r]
+
+            else:
+
+                def addmul(acc, c, row, s):
+                    lc = log[c]
+                    for j, r in enumerate(row, s):
+                        if r:
+                            acc[j] ^= exp[lc + log[r]]
+
+        elif rows is not None:
+            minus = rows[p - 1]  # the row of -1
+
+            def add(a, b):
+                return table[a << 8 | b]
+
+            def neg(a):
+                return minus[a]
+
+            def sub(a, b):
+                return table[a << 8 | minus[b]]
+
             def addmul(acc, c, row, s):
-                lc = log[c]
+                mc = rows[c]
                 for j, r in enumerate(row, s):
-                    if r:
-                        acc[j] ^= exp[lc + log[r]]
+                    acc[j] = table[acc[j] << 8 | mc[r]]
 
         else:
             half = n // 2  # g^half = -1
@@ -492,8 +570,8 @@ def _kernels(field: FiniteField) -> dict:
                 if r:
                     acc[j] = add(acc[j], mul(c, r))
 
-    if p == 2 and q <= PACKED_LIMIT:
-        divrem = _packed_divrem(mul, inv, q)
+    if rows is not None and p == 2:
+        divrem = _packed_divrem(rows, inv)
     else:
 
         def divrem(a, b):
@@ -517,30 +595,22 @@ def _kernels(field: FiniteField) -> dict:
     }
 
 
-def _packed_divrem(mul, inv, q: int):
+def _packed_divrem(rows: list[bytes], inv):
     """The division kernel of a field of characteristic 2 and order q <=
     PACKED_LIMIT, one byte a coefficient.
 
     The remainder is one int, coefficient i in byte i, so subtracting a
     multiple of the divisor is one XOR.  The multiple c * b is the divisor's
-    bytes translated by the 256-byte table x -> c * x, built the first time
-    c is used and kept for the field's life; within one call the multiples
-    are kept as ints, so a multiplier costs one translation a call.
+    bytes translated by rows[c], the product row of c; within one call the
+    multiples are kept as ints, so a multiplier costs one translation a call.
     """
-    tables: dict[int, bytes] = {}
-
-    def table(c: int) -> bytes:
-        t = tables.get(c)
-        if t is None:
-            t = tables[c] = bytes([mul(c, x) for x in range(q)]) + bytes(256 - q)
-        return t
 
     def divrem(a, b):
         db = len(b) - 1
         row = bytes(b)
         lead = b[-1]
         if lead != 1:
-            unit = table(inv(lead))
+            unit = rows[inv(lead)]
             row = row.translate(unit)  # the monic associate of b
         multiples = {1: int.from_bytes(row, "little")}
         rem = int.from_bytes(bytes(a), "little")
@@ -553,7 +623,7 @@ def _packed_divrem(mul, inv, q: int):
                 quot[k] = c
                 m = multiples.get(c)
                 if m is None:
-                    m = multiples[c] = int.from_bytes(row.translate(table(c)), "little")
+                    m = multiples[c] = int.from_bytes(row.translate(rows[c]), "little")
                 rem ^= m << 8 * k  # clears byte k + db
         if lead != 1:
             quot = quot.translate(unit)

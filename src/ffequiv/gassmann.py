@@ -20,8 +20,8 @@ in the orbit of that of H under the same conjugation permutations.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
+from . import _Record
 from .fields import FieldElement, FiniteField, _smallest_generator
 
 
@@ -481,12 +481,9 @@ def permutation_character_fixpoints(G: MatGroup, H: Subgroup) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class GassmannCertificate:
-    is_gassmann: bool
-    is_nontrivial: bool
-    index: int
-    rows: tuple  # (class representative, class size, fix on G/H, fix on G/H')
+class GassmannCertificate(_Record):
+    # rows: (class representative, class size, fix on G/H, fix on G/H')
+    __slots__ = ("is_gassmann", "is_nontrivial", "index", "rows")
 
     def render(self) -> str:
         lines = [

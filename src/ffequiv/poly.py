@@ -11,6 +11,12 @@ here and reaches the coefficients through kernels named as a field's.  A
 :class:`Poly` holds each coefficient as its integer index in the field
 (see :mod:`ffequiv.fields`), and its field's int kernels are those of the
 coefficient ring; the rings over F_q[T] live in :mod:`ffequiv.twisted`.
+
+Remainders, gcds, Frobenius powers and distinct-degree factorization run on
+coefficient lists (``_trim`` to ``_ddf``), which the Poly functions wrap and
+:mod:`ffequiv.splitting` calls directly.  Frobenius is m = log_p q steps of
+the additive p-th power map (von zur Gathen & Shoup, "Computing Frobenius
+maps and factoring polynomials", Comput. Complexity 2, 1992).
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ import itertools
 import random
 import sys
 from array import array
-from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import Container, Generator, Iterable, Iterator, Sequence
 
+from . import _Record
 from .fields import FieldElement, FiniteField, _prime_divisors
 
 
@@ -178,13 +184,7 @@ class _Dense:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self._make(f, [])
-        addmul = (self._ring or f).addmul
-        twist = self._twist
-        out = [self._czero(f)] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                addmul(out, c, b if twist is None else [twist(r, i) for r in b], i)
-        return self._make(f, out)
+        return self._make(f, _product((self._ring or f).addmul, a, b, self._czero(f), self._twist))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -266,21 +266,8 @@ class Poly(_Dense):
         return self._scale(c.index)
 
     def __mul__(self, other):
-        # two shortcuts for products of nonzero polynomials, ahead of the
-        # shared product loop, which is handed the sparser factor first
-        if isinstance(other, Poly) and other.field is self.field and self.coeffs and other.coeffs:
-            f = self.field
-            a, b = self.coeffs, other.coeffs
-            if a is b and f.p == 2:  # squaring is additive in characteristic 2
-                mul = f.mul
-                out = [0] * (2 * len(a) - 1)
-                out[::2] = [mul(c, c) for c in a]
-                return _mk(f, out)
-            na, nb = len(a) - a.count(0), len(b) - b.count(0)
-            if f.m == 1 and na * nb > 4096 and (f.p - 1) ** 2 * min(len(a), len(b)) < (1 << 32):
-                return _mk(f, _int_convolve(a, b, f.p))
-            if nb < na:  # one addmul per nonzero of the first factor
-                return _Dense.__mul__(other, self)
+        if isinstance(other, Poly) and other.field is self.field:
+            return _mk(self.field, _mul(self.field, self.coeffs, other.coeffs))
         return _Dense.__mul__(self, other)
 
     # Set on this class itself, so a wrapper (perfbench/tracer.py) can
@@ -348,6 +335,18 @@ class Poly(_Dense):
 
 _mk = Poly._make  # the Poly with coefficient indices cs, trimmed in place
 
+
+def _product(addmul, a: Sequence, b: Sequence, zero=0, twist=None) -> list:
+    """The product loop of every ring here: one ``addmul`` per nonzero
+    coefficient of a; ``twist(r, i)`` moves r past the i-th power of the
+    variable in a skew ring."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            addmul(out, c, b if twist is None else [twist(r, i) for r in b], i)
+    return out
+
+
 _U32_OK = array("I").itemsize == 4
 
 
@@ -368,14 +367,178 @@ def _int_convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return [int.from_bytes(raw[4 * i : 4 * i + 4], "little") % p for i in range(n)]
 
 
+# ---------------------------------------------------------------------------
+# the list core: coefficient index lists over one field, low degree first and
+# trimmed (the zero polynomial is []); the Poly functions below wrap it
+
+
+def _trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _mul(K: FiniteField, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a * b, ahead of the shared loop (handed the sparser factor first) with
+    two shortcuts: squaring is additive in characteristic 2, and a large
+    product over a prime field is one big-integer multiply."""
+    if not a or not b:
+        return []
+    if a is b and K.p == 2:
+        mul = K.mul
+        out = [0] * (2 * len(a) - 1)
+        out[::2] = [mul(c, c) for c in a]
+        return out
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    if K.m == 1 and na * nb > 4096 and (K.p - 1) ** 2 * min(len(a), len(b)) < (1 << 32):
+        return _int_convolve(a, b, K.p)
+    if nb < na:
+        a, b = b, a
+    return _product(K.addmul, a, b)
+
+
+def _rem(K: FiniteField, a: list[int], f: list[int]) -> list[int]:
+    """a mod f, f nonzero."""
+    if len(a) < len(f):
+        return a
+    return _trim(K.divrem(a, f)[1])
+
+
+def _monic(K: FiniteField, a: list[int]) -> list[int]:
+    lead = a[-1]
+    if lead == 1:
+        return a
+    mul, u = K.mul, K.inv(lead)
+    return [mul(c, u) for c in a]
+
+
+def _gcd(K: FiniteField, a: list[int], b: list[int]) -> list[int]:
+    """The monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _rem(K, a, b)
+    return _monic(K, a)
+
+
+def _minus_x(K: FiniteField, h: list[int]) -> list[int]:
+    out = h + [0] * (2 - len(h))
+    out[1] = K.sub(out[1], 1)
+    return _trim(out)
+
+
+def _pow_mod(K: FiniteField, a: list[int], e: int, f: list[int]) -> list[int]:
+    """a^e mod f for a reduced a, by left-to-right square-and-multiply: for
+    e >= 1, bit_length(e) - 1 squarings and popcount(e) - 1 products."""
+    if e == 0:
+        return [1]
+    out = a
+    for bit in bin(e)[3:]:
+        out = _rem(K, _mul(K, out, out), f)
+        if bit == "1":
+            out = _rem(K, _mul(K, out, a), f)
+    return out
+
+
+def _linear(K: FiniteField, h: list[int], rows: list[list[int]], n: int) -> list[int]:
+    """sum_i h_i * rows[i], for rows of length at most n."""
+    addmul = K.addmul
+    out = [0] * n
+    for c, row in zip(h, rows):
+        if c:
+            addmul(out, c, row, 0)
+    return _trim(out)
+
+
+def _pth_rows(K: FiniteField, f: list[int]) -> list[list[int]]:
+    """y^(p*i) mod f for i < deg f: each row is the last shifted by p and
+    reduced, or, for p > 2 deg f, the last times y^p mod f."""
+    p, n = K.p, len(f) - 1
+    rows = [[1]]
+    if p > 2 * n:
+        yp = _pow_mod(K, _rem(K, [0, 1], f), p, f)
+        for _ in range(n - 1):
+            rows.append(_rem(K, _mul(K, rows[-1], yp), f))
+    else:
+        for _ in range(n - 1):
+            rows.append(_rem(K, [0] * p + rows[-1], f) if rows[-1] else [])
+    return rows
+
+
+def _frobenius_powers(K: FiniteField, f: list[int], per: int = 1) -> Generator[list[int], list[int] | None, None]:
+    """y^q, y^(q^2), ... mod the monic f, for a caller that takes at most
+    deg f // per of them; it may ``send`` a monic divisor of f in place of
+    calling ``next``, and that power and all later ones are then mod it.
+
+    A step h -> h^q is m = log_p q steps of the p-th power map
+    h -> sum_i h_i^p * y^(p*i) mod f (a squaring in characteristic 2).  As
+    h -> h^q is F_q-linear, a step can also be h^q = sum_i h_i * y^(q*i),
+    half a product, once those rows are built for n - 2 products mod f.
+    They are built when the p-th power steps have cost as much (m/2
+    products a step, m in characteristic 2), so that no input pays much
+    over twice the cheaper route, and only if the powers still wanted can
+    repay them.  Over a prime field the p-th power rows are those rows.
+    """
+    p, m, power = K.p, K.m, K.pow
+    pth = None if p == 2 else _pth_rows(K, f)
+    rows = pth if m == 1 else None
+
+    def frob(h):
+        for _ in range(m):
+            if pth is None:
+                h = _rem(K, _mul(K, h, h), f)
+            else:
+                h = _linear(K, h if m == 1 else [power(c, p) for c in h], pth, len(f) - 1)
+        return h
+
+    cost = m if p == 2 else m / 2  # products mod f in one step
+    h = yq = frob(_rem(K, [0, 1], f))
+    spent = cost
+    taken = 1
+    while True:
+        divisor = yield h
+        if divisor is not None and len(divisor) < len(f):
+            f = divisor
+            n = len(f) - 1
+            h, yq = _rem(K, h, f), _rem(K, yq, f)
+            if rows is not None:  # pth is no longer used
+                rows = [_rem(K, r, f) for r in rows[:n]]
+            elif pth is not None:
+                pth = [_rem(K, r, f) for r in pth[:n]]
+        n = len(f) - 1
+        if rows is None and spent >= n - 2 and (n // per - taken) * (cost - 0.5) > n - 2:
+            rows = [[1], yq]
+            for _ in range(n - 2):
+                rows.append(_rem(K, _mul(K, rows[-1], yq), f))
+        if rows is None:
+            h = frob(h)
+            spent += cost
+        else:
+            h = _linear(K, h, rows, n)
+        taken += 1
+
+
+def _ddf(K: FiniteField, f: list[int]) -> list[tuple[int, list[int]]]:
+    """f monic squarefree -> [(d, product of its degree-d factors)]."""
+    powers = _frobenius_powers(K, f, 2)  # degrees up to deg f / 2
+    rest = None  # what is left of f, once a factor is split off
+    out = []
+    d = 0
+    while len(f) > 2 * (d + 1):
+        d += 1
+        g = _gcd(K, f, _minus_x(K, powers.send(rest)))
+        if len(g) > 1:
+            out.append((d, g))
+            f = rest = K.divrem(f, g)[0]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(a, 0) = monic(a).  Both zero is an error."""
     a._check(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    return _mk(a.field, _gcd(a.field, list(a.coeffs), list(b.coeffs)))
 
 
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
@@ -384,57 +547,7 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     if e < 0:
         raise ValueError("negative exponent")
     base = base % mod
-    if e == 0:
-        return Poly.one(base.field)
-    result = base
-    for bit in bin(e)[3:]:
-        result = result * result % mod
-        if bit == "1":
-            result = result * base % mod
-    return result
-
-
-def _frobenius_powers(f: Poly) -> Generator[Poly, Poly | None, None]:
-    """x^q, x^(q^2), x^(q^3), ... mod the monic f, without end.
-
-    A caller may ``send`` a monic divisor of f in place of calling ``next``;
-    that power and all later ones are then reduced mod the divisor.
-
-    The first power is a ``pow_mod``.  Since h -> h^q is F_q-linear on
-    F_q[y]/(f), a later one can be the matrix-vector product
-    h^q = sum_i h_i * x^(q*i) mod f.  Building those n = deg f rows costs
-    n - 2 products mod f, so ``pow_mod`` steps go on until they have cost
-    that much, and only a caller that wants more powers pays for the rows:
-    no input costs much over twice what ``pow_mod`` alone would.
-    """
-    field = f.field
-    q = field.q
-    step = q.bit_length() + bin(q).count("1") - 2  # products in one pow_mod
-    xq = h = pow_mod(Poly.x(field), q, f)
-    spent = step
-    rows = None
-    while True:
-        divisor = yield h
-        if divisor is not None and divisor.degree < f.degree:
-            f = divisor
-            h, xq = h % f, xq % f
-            if rows is not None:
-                rows = [r % f for r in rows[: f.degree]]
-        n = f.degree
-        if rows is None and spent >= n - 2:
-            rows = [Poly.one(field), xq]
-            for _ in range(n - 2):
-                rows.append(rows[-1] * xq % f)
-        if rows is None:
-            h = pow_mod(h, q, f)
-            spent += step
-            continue
-        addmul = field.addmul
-        out = [0] * n
-        for c, row in zip(h.coeffs, rows):
-            if c:
-                addmul(out, c, row.coeffs, 0)
-        h = _mk(field, out)
+    return _mk(base.field, _pow_mod(base.field, list(base.coeffs), e, list(mod.coeffs)))
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -445,25 +558,23 @@ def is_irreducible(f: Poly) -> bool:
         raise ValueError("irreducibility is undefined for constants")
     if n == 1:
         return True
-    f = f.monic()
-    x = Poly.x(f.field)
+    K = f.field
+    cs = _monic(K, list(f.coeffs))
     need = {n // l for l in _prime_divisors(n)}
-    for i, h in enumerate(itertools.islice(_frobenius_powers(f), n), 1):
-        if i in need and poly_gcd(h - x, f).degree != 0:
+    for i, h in enumerate(itertools.islice(_frobenius_powers(K, cs), n), 1):
+        if i in need and len(_gcd(K, cs, _minus_x(K, h))) != 1:
             return False
-    return h == x
+    return h == [0, 1]
 
 
 # ---------------------------------------------------------------------------
 # factorization
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Record):
     """unit * prod(factor^multiplicity); factors monic irreducible, pairwise
     distinct, sorted by (degree, coefficients from the leading end)."""
 
-    unit: FieldElement
-    factors: tuple[tuple[Poly, int], ...]
+    __slots__ = ("unit", "factors")
 
     def expand(self) -> Poly:
         acc = Poly.constant(self.unit.field, self.unit)
@@ -536,20 +647,8 @@ def _squarefree_parts(f: Poly) -> list[tuple[int, Poly]]:
 
 def _distinct_degree(f: Poly) -> list[tuple[int, Poly]]:
     """f monic squarefree -> [(d, product of its degree-d factors)]."""
-    x = Poly.x(f.field)
-    powers = _frobenius_powers(f)
-    rest = None  # what is left of f, once a factor is split off
-    out = []
-    d = 0
-    while f.degree >= 2 * (d + 1):
-        d += 1
-        g = poly_gcd(powers.send(rest) - x, f)
-        if g.degree > 0:
-            out.append((d, g))
-            f = rest = f // g
-    if f.degree > 0:
-        out.append((f.degree, f))
-    return out
+    K = f.field
+    return [(d, _mk(K, g)) for d, g in _ddf(K, list(f.coeffs))]
 
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
@@ -671,14 +770,17 @@ def monic_irreducibles(field: FiniteField, d: int) -> list[Poly]:
     return [_mk(field, _digits(idx, q, d) + [1]) for idx in _irr_packed(field, d)]
 
 
-def _random_irreducibles(field: FiniteField, d: int, rng: random.Random) -> Iterator[Poly]:
+def _random_irreducibles(field: FiniteField, d: int, rng: random.Random,
+                         known: Container | None = None) -> Iterator[Poly]:
     """Distinct monic irreducibles of degree d, drawn from rng by rejection;
-    a candidate already yielded is rejected before Rabin's test."""
+    a candidate already yielded is rejected before Rabin's test.  known, if
+    given, holds the coefficient tuples of every monic irreducible of degree
+    d, and membership there replaces the test; the draws are the same."""
     q = field.q
     seen = set()
     while True:
         cand = _mk(field, [rng.randrange(q) for _ in range(d)] + [1])
-        if cand not in seen and is_irreducible(cand):
+        if cand not in seen and (is_irreducible(cand) if known is None else cand.coeffs in known):
             seen.add(cand)
             yield cand
 

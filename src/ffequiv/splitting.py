@@ -15,9 +15,15 @@ one prime P.  Where K_d has no tables, or too few primes share it to repay
 the walk, K is F_p[T]/(P) itself, with the class of T as its root, and is
 freed when the prime is done.
 
+Evaluation is Horner's rule on indices of K, with one product for each run
+of zero coefficients.  A sampled selection on a degree that takes the orbit
+route accepts a random candidate by looking it up in the root map, not by
+Rabin's test.
+
 A Good reduction is squarefree, so its splitting type follows from
-distinct-degree factorization alone; no factor is ever split further and
-nothing on this path is randomized.
+distinct-degree factorization alone, run on coefficient lists by the list
+core of :mod:`ffequiv.poly`; no factor is ever split further and nothing on
+this path is randomized.
 """
 
 from __future__ import annotations
@@ -25,47 +31,41 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
+from . import _Record
 from .exprs import render_tpoly
 from .fields import TABLE_LIMIT, FiniteField, _rebuild_field, extension_field, prime_field
-from .poly import (Poly, _distinct_degree, _mk, _random_irreducibles, is_irreducible,
-                   monic_irreducibles, poly_gcd)
+from .poly import (Poly, _ddf, _gcd, _mk, _monic, _random_irreducibles, is_irreducible,
+                   monic_irreducibles)
 from .twisted import YPoly
 
 
-@dataclass(frozen=True)
-class SplitType:
+class SplitType(_Record):
     """Sorted multiset of residue degrees."""
 
-    degrees: tuple[int, ...]
+    __slots__ = ("degrees",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
+    def __init__(self, degrees):
+        super().__init__(tuple(sorted(degrees)))
 
     def __str__(self):
         return "[" + ",".join(str(d) for d in self.degrees) + "]"
 
 
-@dataclass(frozen=True)
-class SideResult:
+class SideResult(_Record):
     """Outcome of split_type on one polynomial: Bad with a reason, or a type."""
 
-    bad_reason: Optional[str]
-    split: Optional[SplitType]
+    __slots__ = ("bad_reason", "split")
 
     @property
     def is_bad(self) -> bool:
         return self.bad_reason is not None
 
 
-@dataclass(frozen=True)
-class PrimeVerdict:
-    prime: Poly
-    type_f: Optional[SplitType]
-    type_g: Optional[SplitType]
-    bad_reason: Optional[str] = None
+class PrimeVerdict(_Record):
+    __slots__ = ("prime", "type_f", "type_g", "bad_reason")
+    _defaults = {"bad_reason": None}
 
     @property
     def is_bad(self) -> bool:
@@ -84,23 +84,20 @@ class PrimeVerdict:
         return "equal" if self.equal else "UNEQUAL"
 
 
-@dataclass(frozen=True)
-class Exhaustive:
+class Exhaustive(_Record):
     """All monic irreducibles of degree 1..max_degree, in canonical order."""
 
-    max_degree: int
+    __slots__ = ("max_degree",)
 
 
-@dataclass(frozen=True)
-class Sampled:
+class Sampled(_Record):
     """count distinct random monic irreducibles of the given degree.
 
     seed=None defers to the global seed passed to compare_split_types.
     """
 
-    count: int
-    degree: int
-    seed: Optional[int] = None
+    __slots__ = ("count", "degree", "seed")
+    _defaults = {"seed": None}
 
 
 PrimeSelection = Union[Exhaustive, Sampled]
@@ -178,14 +175,20 @@ def _root(P: Poly, by_orbit: bool) -> tuple[FiniteField, int]:
 def _evaluate(f: YPoly, K: FiniteField, alpha: int) -> Poly:
     """The image of f under T -> alpha, by Horner on indices of K.  For a
     root alpha of the prime P, T -> alpha is an isomorphism from
-    F_p[T]/(P) onto K, so the image is f mod P up to that isomorphism."""
-    add, mul = K.add, K.mul
+    F_p[T]/(P) onto K, so the image is f mod P up to that isomorphism.
+
+    A run of k zero coefficients costs one product, by alpha^(k+1), so a
+    sparse coefficient costs a product per term, not per degree."""
+    add, mul, power = K.add, K.mul, K.pow
     out = []
     for c in f.coeffs:
-        acc = 0
+        acc, k = 0, 1  # k: the products by alpha owed, one more than the zeros passed
         for a in reversed(c.coeffs):
-            acc = add(mul(acc, alpha), a)
-        out.append(acc)
+            if a:
+                acc, k = add(mul(acc, alpha if k == 1 else power(alpha, k)), a) if acc else a, 1
+            else:
+                k += 1
+        out.append(mul(acc, power(alpha, k - 1)) if acc and k > 1 else acc)
     return _mk(K, out)
 
 
@@ -197,10 +200,10 @@ def _classify(f: YPoly, r: Poly) -> SideResult:
         return SideResult("leading_coeff_vanishes", None)
     if r.degree < 1:
         raise ValueError("cannot take the splitting type of a constant polynomial")
-    dr = r.derivative()
-    if dr.is_zero or poly_gcd(r, dr).degree > 0:
+    K, cs, dr = r.field, list(r.coeffs), list(r.derivative().coeffs)
+    if not dr or len(_gcd(K, cs, dr)) > 1:
         return SideResult("repeated_factor", None)
-    degrees = [d for d, g in _distinct_degree(r.monic()) for _ in range(g.degree // d)]
+    degrees = [d for d, g in _ddf(K, _monic(K, cs)) for _ in range((len(g) - 1) // d)]
     return SideResult(None, SplitType(tuple(degrees)))
 
 
@@ -304,7 +307,10 @@ def _select_primes(field: FiniteField, selection: PrimeSelection, seed: int) -> 
                 f"{PRIME_COUNT_LIMIT} for one comparison"
             )
         rng = random.Random(seed if selection.seed is None else selection.seed)
-        draws = _random_irreducibles(field, selection.degree, rng)
+        known = None  # on the orbit route, the root map decides irreducibility
+        if field.m == 1 and _orbits_pay(field.p, selection.degree, selection.count):
+            known = _orbit_roots(field.p, selection.degree)[1]
+        draws = _random_irreducibles(field, selection.degree, rng, known)
         return [next(draws) for _ in range(selection.count)]
     raise TypeError(f"unknown prime selection {selection!r}")
 
@@ -321,9 +327,8 @@ def _run_worker(P):
     return _verdict_at(f, g, P, P.degree in by_orbit)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    verdicts: tuple[PrimeVerdict, ...]
+class EquivalenceReport(_Record):
+    __slots__ = ("verdicts",)
 
     @property
     def good(self) -> int:

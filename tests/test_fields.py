@@ -7,6 +7,7 @@ import pytest
 
 from ffequiv.fields import (
     PRIME_LIMIT,
+    PACKED_LIMIT,
     TABLE_LIMIT,
     _FIELD_CACHE,
     FiniteField,
@@ -276,13 +277,15 @@ def test_is_prime_refuses_above_limit():
 
 
 def _kernel_fields():
-    """Fields of each kernel kind: prime, XOR tables, Zech tables, and
-    carry-less products in characteristic 2 above the table limit."""
+    """Fields of each kernel kind: prime, full byte tables up to order 256,
+    XOR and Zech exp/log tables above it, and carry-less products in
+    characteristic 2 above the table limit."""
     return {
         "prime": [prime_field(7), prime_field(10007)],
-        "xor": [extension_field(2, degree=m) for m in (2, 3, 10)],
-        "zech": [extension_field(3, degree=2), extension_field(5, degree=2),
-                 extension_field(3, degree=3), extension_field(3, degree=5)],
+        "byte": [extension_field(p, degree=m)
+                 for p, m in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (3, 5), (2, 8))],
+        "xor": [extension_field(2, degree=m) for m in (10, 12)],
+        "zech": [extension_field(3, degree=7), extension_field(5, degree=4)],
         "clmul": [extension_field(2, degree=17), extension_field(2, degree=20)],
     }
 
@@ -290,7 +293,9 @@ def _kernel_fields():
 def test_kernel_kinds_follow_table_limit():
     for kind, fields in _kernel_fields().items():
         for field in fields:
-            assert (field.m > 1 and field.q <= TABLE_LIMIT) == (kind in ("xor", "zech")), field
+            tabled = field.m > 1 and field.q <= TABLE_LIMIT
+            assert tabled == (kind in ("byte", "xor", "zech")), field
+            assert (tabled and field.q <= PACKED_LIMIT) == (kind == "byte"), field
 
 
 def vector_route(field):
@@ -408,7 +413,8 @@ def test_fields_freed_by_refcount():
     # so that a residue field's tables are freed as soon as its prime is done
     kinds = {
         "prime": (7, None),
-        "tables": (3, CANONICAL_MODULI[(3, 5)]),
+        "tables": (2, CANONICAL_MODULI[(2, 10)]),
+        "bytes": (3, CANONICAL_MODULI[(3, 5)]),
         "packed": (2, CANONICAL_MODULI[(2, 8)]),
         "clmul": (2, extension_field(2, degree=17).modulus),
         "vector": (3, extension_field(3, degree=11).modulus),

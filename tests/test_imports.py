@@ -64,7 +64,8 @@ ALL = [
 ]
 
 # Runs argv through cli.main (None: only import ffequiv) and prints, as JSON,
-# the exit code, the loaded ffequiv modules and whether the pool's module is in.
+# the exit code, the loaded ffequiv modules, whether the pool's module is in,
+# and which of the slow standard modules dataclasses and inspect are in.
 PROBE = """
 import json, sys
 argv = json.loads(sys.argv[1])
@@ -81,6 +82,7 @@ print(json.dumps({
     "code": code,
     "modules": sorted(k for k in sys.modules if k.split(".")[0] == "ffequiv"),
     "pool": "concurrent.futures.process" in sys.modules,
+    "slow": [m for m in ("dataclasses", "inspect") if m in sys.modules],
 }))
 """
 
@@ -125,15 +127,23 @@ def _names(*modules):
             0,
             _names("cli", "exprs", "fields", "poly", "splitting", "twisted"),
         ),
+        (
+            ["primes", "--p", "3", "--degree", "2"],
+            0,
+            _names("cli", "exprs", "fields", "poly", "twisted"),
+        ),
         (["gassmann", "--p", "2"], 2, _names("cli")),
     ],
-    ids=["import", "gassmann", "torsion", "factor", "split-check", "usage-error"],
+    ids=["import", "gassmann", "torsion", "factor", "split-check", "primes", "usage-error"],
 )
 def test_subcommand_import_footprint(argv, code, modules):
     got = _footprint(argv)
     assert got["code"] == code
     assert got["modules"] == modules
     assert got["pool"] is False
+    # importing dataclasses loads inspect, ast, dis and tokenize: about 13 ms
+    # of every start-up
+    assert got["slow"] == []
 
 
 def test_all_is_the_golden_list():

@@ -24,6 +24,12 @@ F8 = extension_field(2, degree=3)
 F256 = extension_field(2, degree=8)
 F1024 = extension_field(2, degree=10)
 F2_17 = extension_field(2, degree=17)  # too large for tables: vector kernels
+F25 = extension_field(5, degree=2)
+F49 = extension_field(7, degree=2)
+F125 = extension_field(5, degree=3)
+F3_7 = extension_field(3, degree=7)  # Zech tables; Rabin's test switches to q-linear rows
+F3_11 = extension_field(3, degree=11)  # vector kernels; the DDF switches to q-linear rows
+F10007 = prime_field(10007)  # p > 2n: the p-th power rows are products with y^p
 
 
 def P(field, *ints):
@@ -388,7 +394,9 @@ def _distinct_degree_reference(f):
 
 def test_distinct_degree_matches_reference():
     rng = random.Random(3)
-    for field, n, trials in ((F3, 8, 40), (F9, 8, 20), (F243, 8, 4), (F1024, 15, 2), (F2_17, 6, 2)):
+    for field, n, trials in ((F3, 8, 40), (F9, 8, 20), (F243, 8, 4), (F1024, 15, 2), (F2_17, 6, 2),
+                             (F25, 8, 6), (F49, 8, 4), (F125, 8, 4), (F3_7, 8, 2), (F3_11, 8, 1),
+                             (F10007, 8, 3)):
         done = 0
         while done < trials:
             f = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(n)] + [1])
@@ -398,7 +406,8 @@ def test_distinct_degree_matches_reference():
             assert factor(f).expand() == f, f
             done += 1
     # shrinking moduli: products of irreducibles of mixed degrees
-    for field, degs in ((F9, (1, 2, 12)), (F243, (2, 3, 6)), (F1024, (1, 1, 5, 8))):
+    for field, degs in ((F9, (1, 2, 12)), (F243, (2, 3, 6)), (F1024, (1, 1, 5, 8)),
+                        (F3_7, (1, 2, 9)), (F10007, (1, 3, 4))):
         f = Poly.one(field)
         for s, d in enumerate(degs):
             f = f * random_irreducible(field, d, seed=s)

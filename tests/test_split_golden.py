@@ -2,9 +2,9 @@
 
 Each file under golden/split/ is the stdout of the command next to it.  The
 first three were recorded while every residue field was still built for its
-own prime, the last three while a prime off the orbit route was still
-reduced by polynomial remainders; each route must leave every report as it
-is.
+own prime, the next three while a prime off the orbit route was still
+reduced by polynomial remainders, and f5_deg3 while Frobenius was still
+square-and-multiply; each route must leave every report as it is.
 """
 
 from pathlib import Path
@@ -25,6 +25,8 @@ CASES = [
     # degrees above fields.TABLE_LIMIT, in odd characteristic and in 2
     ("f3_s3_d11", 0, "--pair gl2_f3_deg8 --samples 3 --degree 11"),
     ("f4_s4_d17", 0, "--pair gl2_f4_deg15 --samples 4 --degree 17"),
+    # p = 5: the p-th power map and the odd byte tables of F_25 and F_125
+    ("f5_deg3", 0, f"--pair {GOLDEN / 'gl2_f5_deg24.pair'} --max-degree 3"),
 ]
 
 

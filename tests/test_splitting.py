@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from ffequiv import fields, splitting
 from ffequiv.cli import _read_pair_source, load_pair
 from ffequiv.exprs import parse, render_residue_poly
 from ffequiv.fields import extension_field, prime_field
-from ffequiv.poly import Poly, _mk, factor, is_irreducible, monic_irreducibles, poly_gcd
+from ffequiv.poly import (Poly, _mk, factor, is_irreducible, monic_irreducibles, poly_gcd,
+                          random_irreducible)
 from ffequiv.splitting import (
     Exhaustive,
     Sampled,
@@ -367,6 +369,62 @@ def test_orbit_route_agrees_with_residue_fields(name):
             assert by_orbit == per_prime, prime
             assert (by_orbit.type_f, by_orbit.type_g) == (want[0].split, want[1].split)
             assert by_orbit.is_bad == (want[0].is_bad or want[1].is_bad), prime
+
+
+def test_records_are_frozen_values():
+    v = splitting.PrimeVerdict(P(F3, 1, 1), SplitType((6, 2)), SplitType([2, 6]))
+    assert v.type_f.degrees == (2, 6) and v.bad_reason is None
+    assert v == splitting.PrimeVerdict(prime=P(F3, 1, 1), type_g=SplitType((6, 2)),
+                                       type_f=SplitType((2, 6)), bad_reason=None)
+    assert hash(v) == hash(splitting.PrimeVerdict(P(F3, 1, 1), v.type_f, v.type_g))
+    assert v != splitting.PrimeVerdict(P(F3, 1, 1), v.type_f, v.type_g, "repeated_factor_f")
+    assert SplitType((1,)) != splitting.Exhaustive((1,))  # same values, other class
+    assert pickle.loads(pickle.dumps(v)) == v
+    assert Sampled(3, 4) == Sampled(3, 4, None) and Sampled(3, 4, seed=1).seed == 1
+    assert repr(Sampled(3, 4)) == "Sampled(count=3, degree=4, seed=None)"
+    with pytest.raises(AttributeError):
+        v.bad_reason = "x"
+    with pytest.raises(AttributeError):
+        del v.prime
+    with pytest.raises(TypeError):
+        Sampled(3)
+    with pytest.raises(TypeError):
+        Sampled(3, 4, count=3)
+    with pytest.raises(TypeError):
+        Exhaustive(1, 2)
+
+
+def test_evaluate_skips_zero_runs(monkeypatch):
+    # Above the tables in odd characteristic every kernel mul is a digit-
+    # vector product.  Horner crosses the 6560 zeros of T^6561 + 1 with one
+    # product by alpha^6561 (K.pow), and a dense coefficient costs one mul a
+    # step; each image must equal the coefficient reduced mod P.
+    calls = []
+    build = fields._kernels
+
+    def counting(field):
+        kernels = build(field)
+        mul = kernels["mul"]
+
+        def counted(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        kernels["mul"] = counted
+        return kernels
+
+    prime = random_irreducible(F3, 11, seed=0)
+    monkeypatch.setattr(fields, "_kernels", counting)
+    sparse = Poly.from_ints(F3, [1] + [0] * 6560 + [1])
+    mixed = Poly.from_ints(F3, [2] + [0] * 99 + [1] + [0] * 6460 + [1])
+    dense = Poly.from_ints(F3, [1, 2, 0, 1, 1])
+    f = YPoly(F3, [sparse, mixed, dense, Poly.one(F3)])
+    red = reduce_mod_prime(f, prime)
+    K = red.field
+    assert K.q == 3**11 and K.q > fields.TABLE_LIMIT
+    assert red.coeffs == tuple(K.pack((c % prime).coeffs) for c in f.coeffs)
+    # one mul for sparse, two for mixed, three for dense (its top term needs none)
+    assert len(calls) == 6
 
 
 def test_reductions_keep_no_residue_field(pair1):
