@@ -184,6 +184,15 @@ def _within_limit(degrees, pos: int):
         raise ParseError(f"degree above the limit of {DEGREE_LIMIT}", pos)
 
 
+def _monomial(var, e: int):
+    """var**e for the value of a symbol, built directly: var is the variable
+    of its ring, or T as a constant of y or tau."""
+    c = var.coeffs[-1]
+    if var.degree == 0:
+        return var._make(var.field, [_monomial(c, e)])
+    return var._make(var.field, [var.coeffs[0]] * e + [c])
+
+
 def _eval_commutative(node, consts, env, mode):
     """Evaluate the AST with the ring operators of the values; before each
     product and power, refuse a result above DEGREE_LIMIT."""
@@ -208,6 +217,8 @@ def _eval_commutative(node, consts, env, mode):
     if kind == "pow":
         base, e = _eval_commutative(node[2], consts, env, mode), node[3]
         _within_limit((d * e for d in _degrees(base)), node[1])
+        if node[2][0] == "sym" and not isinstance(base, FieldElement):
+            return _monomial(base, e)
         return base**e
     if kind == "neg":
         return -_eval_commutative(node[2], consts, env, mode)

@@ -6,12 +6,15 @@ with dictionary membership.  A matrix holds the field indices of its entries
 and multiplies, inverts and scales them with the field's int kernels.
 
 The group is spanned breadth first from elementary generators (its order is
-checked against the formula).  A step by a generator 1 + c*E_ij is one
-column operation, and every step is kept in a right-multiplication table on
-element indices.  Transposition is an anti-automorphism that maps those
-generators to each other, so left multiplication, and with it conjugation by
-a generator, is a composite of tables: conjugacy classes are orbits of ints,
-found without a matrix product.  Subgroups are checked closed from
+checked against the formula) on row codes: a row is the int whose base-q
+digits are its entries, a matrix the tuple of its row codes.  A step by a
+generator 1 + c*E_ij is one column operation, a lookup per row in a table of
+the q^n codes, and every step is kept in a right-multiplication table on
+element indices.  Transposes are looked up by their codes too.
+Transposition is an anti-automorphism that maps those generators to each
+other, so left multiplication, and with it conjugation by a generator, is a
+composite of tables: conjugacy classes are orbits of ints, found without a
+matrix product.  Subgroups are checked closed from
 generators picked among their members.  Permutation characters on G/H come
 from class counts, and H and H' are conjugate when the index set of H' is
 in the orbit of that of H under the same conjugation permutations.
@@ -19,10 +22,21 @@ in the orbit of that of H under the same conjugation permutations.
 
 from __future__ import annotations
 
+import operator
 from array import array
+from functools import partial
+from itertools import product
 
 from . import _Record
 from .fields import FieldElement, FiniteField, _smallest_generator
+
+
+def _row_code(row, q: int) -> int:
+    """The int whose base-q digits are the entries of row, first entry most significant."""
+    code = 0
+    for e in row:
+        code = code * q + e
+    return code
 
 
 class MatElem:
@@ -32,7 +46,7 @@ class MatElem:
     FieldElements or indices.
     """
 
-    __slots__ = ("field", "n", "rows", "_hash")
+    __slots__ = ("field", "n", "rows")
 
     def __init__(self, field: FiniteField, rows):
         q = field.q
@@ -56,7 +70,6 @@ class MatElem:
         self.field = field
         self.n = n
         self.rows = tuple(out)
-        self._hash = None
         if self._gauss_jordan()[1] is None:
             raise ValueError("matrix is singular")
 
@@ -67,7 +80,6 @@ class MatElem:
         m.field = field
         m.n = n
         m.rows = rows
-        m._hash = None
         return m
 
     @classmethod
@@ -136,9 +148,7 @@ class MatElem:
         return self.field is other.field and self.rows == other.rows
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, self.rows))
-        return self._hash
+        return hash(self.rows)
 
     def render(self) -> str:
         return "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in self.rows) + "]"
@@ -156,8 +166,13 @@ class MatGroup:
     a nonzero entry e there.  mul and inv re-canonicalize, which is the
     quotient group law.
 
-    The enumeration keeps the products it computes: right[k][i] is the
-    index of elements[i] * gens[k], one array('I') per generator.
+    The span is walked on row codes: the code of a row is the int whose
+    base-q digits are its entries, the first entry most significant, so
+    codes compare as rows do.  A matrix is the tuple of its row codes, and
+    a step by a generator, or a scaling into the transversal, is one lookup
+    per row in a table of q^n codes.  The enumeration keeps the products it
+    computes: right[k][i] is the index of elements[i] * gens[k], one
+    array('I') per generator.
     """
 
     def __init__(self, field, n, scalar_subgroup, gens, canon_scalar):
@@ -165,54 +180,100 @@ class MatGroup:
         self.n = n
         self.scalar_subgroup = scalar_subgroup
         self._canon_scalar = canon_scalar
-        moves = []  # (i, j, c) with g = 1 + c*E_ij, per generator g
+        q, add, mul = field.q, field.add, field.mul
+        self._rows = rows = list(product(range(q), repeat=n))  # the row of each code
+        weights = [q ** (n - 1 - j) for j in range(n)]
+        # digits[j][i][code]: entry j of that row, weighted as entry i of a row
+        digits = [[[r[j] * w for r in rows] for w in weights] for j in range(n)]
+        self._shift = None
+        if len(scalar_subgroup) > 1:
+            # shift[code] takes a matrix whose first row has that code into
+            # the transversal: None if it is there, else the table of u * row
+            scaled = {
+                u: [_row_code([mul(u, e) for e in r], q) for r in rows]
+                for u in set(canon_scalar[1:]) - {1}
+            }
+            self._shift = [None] + [scaled.get(canon_scalar[next(filter(None, r))]) for r in rows[1:]]
+        acts = []  # per generator, the code of row * g for each row code
         for g in gens:
             moved = [(i, j) for i in range(n) for j in range(n) if g.rows[i][j] != int(i == j)]
             if len(moved) != 1:
                 raise ValueError("each generator must differ from the identity in one entry")
             (i, j), = moved
-            moves.append((i, j, field.sub(g.rows[i][j], int(i == j))))
+            c, w = field.sub(g.rows[i][j], int(i == j)), weights[j]
+            # row * (1 + c*E_ij) adds c times entry i to entry j
+            acts.append([k + (add(r[j], mul(c, r[i])) - r[j]) * w for k, r in enumerate(rows)])
         self.gens = tuple(self.canon(g) for g in gens)
-        rows = {g.rows for g in self.gens}
-        if any(self._canon_rows(tuple(zip(*g.rows))) not in rows for g in self.gens):
+        codes = [self._codes(g) for g in self.gens]
+        if not set(self._transposes(codes, digits)) <= set(codes):
             raise ValueError("the generators must be closed under transposition")
-        found, products = self._enumerate(moves)
-        # rows of equal length compare as the flattened key does
+        found, number, products = self._enumerate(acts)
+        transposes = list(map(number.__getitem__, self._transposes(found, digits)))
+        del number  # freed before the elements are built, which bounds the peak
         order = sorted(range(len(found)), key=found.__getitem__)
-        self.elements = tuple(MatElem._make(field, n, found[i]) for i in order)
-        self.index = {m: i for i, m in enumerate(self.elements)}
         rank = array("I", [0]) * len(order)
         for r, i in enumerate(order):
             rank[i] = r
+        self._transpose = array("I", [rank[transposes[i]] for i in order])
         self.right = tuple(array("I", [rank[t[i]] for i in order]) for t in products)
+        del transposes, products
+        # one tuple of shared row tuples per element, by columns of codes
+        columns = zip(*[found[i] for i in order])
+        matrices = zip(*[map(rows.__getitem__, c) for c in columns])
+        self.elements = tuple(map(partial(MatElem._make, field, n), matrices))
+        self.index = {m: i for i, m in enumerate(self.elements)}
         self._conjugations = None
         self._classes = None
 
-    def _enumerate(self, moves):
-        """The span of the generators 1 + c*E_ij, given as moves (i, j, c),
-        from the identity, breadth first: the rows of the elements in the
-        order found, and per generator s the find number of x * s for each
-        x in that order."""
-        add, mul = self.field.add, self.field.mul
-        canon_rows = self._canon_rows
-        quotient = len(self.scalar_subgroup) > 1
-        found = [self.identity.rows]
+    def _enumerate(self, acts):
+        """The span of the generators, given as row-code tables, from the
+        identity, breadth first a layer at a time: the codes of the elements
+        in the order found, the dict from codes to that order, and per
+        generator s the find number of x * s for each x in that order."""
+        found = [tuple(self.field.q ** k for k in reversed(range(self.n)))]
         number = {found[0]: 0}
-        products = [array("I") for _ in moves]
-        steps = tuple((*move, table) for move, table in zip(moves, products))
-        for x in found:  # grows while it is read
-            for i, j, c, table in steps:
-                # x * (1 + c E_ij) adds c times column i to column j: n kernel
-                # calls instead of a matrix product.  The generator is used as
-                # given, and only the product is made canonical.
-                y = tuple([r[:j] + (add(r[j], mul(c, r[i])),) + r[j + 1:] if r[i] else r for r in x])
-                if quotient:
-                    y = canon_rows(y)
-                k = number.setdefault(y, len(found))
-                if k == len(found):
-                    found.append(y)
-                table.append(k)
-        return found, products
+        setdefault = number.setdefault
+        products = [array("I") for _ in acts]
+        start = 0
+        while start < len(found):
+            columns = list(zip(*found[start:]))
+            start = len(found)
+            for act, table in zip(acts, products):
+                # the layer times the generator: one lookup per row
+                images = zip(*[map(act.__getitem__, c) for c in columns])
+                if self._shift is not None:
+                    images = map(self._canon_codes, images)
+                size = len(found)
+                numbers = []
+                for y in images:
+                    k = setdefault(y, size)
+                    if k == size:
+                        found.append(y)
+                        size += 1
+                    numbers.append(k)
+                table.extend(numbers)
+        return found, number, products
+
+    def _codes(self, m: MatElem) -> tuple:
+        return tuple(_row_code(r, self.field.q) for r in m.rows)
+
+    def _canon_codes(self, y: tuple) -> tuple:
+        """The codes y scaled into the transversal, in a quotient."""
+        s = self._shift[y[0]]
+        return y if s is None else tuple(map(s.__getitem__, y))
+
+    def _transposes(self, matrices: list, digits):
+        """The canonical codes of the transposes of the matrices with the
+        given codes, in order.  Row j of a transpose is the sum over i of
+        entry j of row i weighted as entry i: a column of lookups per i."""
+        columns = list(zip(*matrices))
+        rows = []
+        for entry in digits:
+            row = map(entry[0].__getitem__, columns[0])
+            for d, column in zip(entry[1:], columns[1:]):
+                row = map(operator.add, row, map(d.__getitem__, column))
+            rows.append(row)
+        return zip(*rows) if self._shift is None else map(self._canon_codes, zip(*rows))
 
     def __len__(self):
         return len(self.elements)
@@ -221,20 +282,14 @@ class MatGroup:
     def identity(self) -> MatElem:
         return MatElem.identity(self.field, self.n)
 
-    def _canon_rows(self, rows: tuple) -> tuple:
-        for r in rows:
-            for e in r:
-                if e:
-                    u = self._canon_scalar[e]
-                    if u == 1:
-                        return rows
-                    mul = self.field.mul
-                    return tuple(tuple(mul(u, v) for v in row) for row in rows)
-        raise ValueError("zero matrix cannot be canonicalized")
-
     def canon(self, m: MatElem) -> MatElem:
-        rows = self._canon_rows(m.rows)
-        return m if rows is m.rows else MatElem._make(self.field, self.n, rows)
+        if self._shift is None:
+            return m
+        y = self._codes(m)
+        c = self._canon_codes(y)
+        if c is y:
+            return m
+        return MatElem._make(self.field, self.n, tuple(map(self._rows.__getitem__, c)))
 
     def mul(self, a: MatElem, b: MatElem) -> MatElem:
         return self.canon(a.mul(b))
@@ -264,21 +319,15 @@ class MatGroup:
         left table of s is T . right_t . T with t = s^T: no matrix product
         is needed."""
         if self._conjugations is None:
-            size = len(self.elements)
-            index, canon, make = self.index, self.canon, MatElem._make
-            transpose = array("I", [
-                index[canon(make(self.field, self.n, tuple(zip(*x.rows))))]
-                for x in self.elements
-            ])
+            index, transpose = self.index, self._transpose
             gen_at = {index[g]: k for k, g in enumerate(self.gens)}
             maps = []
             for g, right in zip(self.gens, self.right):
                 right_t = self.right[gen_at[transpose[index[g]]]]
-                left = array("I", [transpose[right_t[j]] for j in transpose])
-                undo = array("I", [0]) * size
+                undo = array("I", [0]) * len(right)
                 for i, j in enumerate(right):
                     undo[j] = i
-                maps.append(array("I", [left[j] for j in undo]))
+                maps.append(array("I", [transpose[right_t[transpose[j]]] for j in undo]))
             self._conjugations = tuple(maps)
         return self._conjugations
 
@@ -360,6 +409,13 @@ def build_gl(
     if size > cap:
         shown = size if size < 10**30 else f"of {size.bit_length()} bits"
         raise ValueError(f"enumeration cap exceeded: group order {shown} > cap {cap}")
+    # MatGroup keeps tables of q^n row codes too: one per generator, n^2 for
+    # transposes, one to read rows back and at most |S| to scale
+    tables = ((q > 2) + n * (n - 1) * field.m + n * n + 1 + len(s_elems)) * q**n
+    if size + tables > cap:
+        raise ValueError(
+            f"enumeration cap exceeded: group order {size} and {tables} table entries > cap {cap}"
+        )
     g0 = _smallest_generator(field).index
     s_index = (q - 1) // len(s_elems)
     # multiplier taking g0^k to its transversal representative g0^(k mod s_index)

@@ -194,8 +194,9 @@ class _Dense:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no squaring after the last bit
+                base = base * base
         return result
 
     def derivative(self):

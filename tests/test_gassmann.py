@@ -232,6 +232,33 @@ def test_right_tables_are_products():
             assert list(table) == [G.index[G.mul(x, g)] for x in G.elements]
 
 
+def test_code_tables_agree_with_matrix_products():
+    # enumeration and transposes run on row codes; check them against
+    # products of matrices, quotient groups included
+    F9 = extension_field(3, [1, 0, 1])
+    groups = (
+        build_gl(2, F3, scalar_generator=F3(2)),
+        build_gl(2, F4),
+        build_gl(2, F9, scalar_generator=F9.gen),
+        build_gl(3, F2),
+    )
+    for G in groups:
+        keys = [m.key for m in G.elements]
+        assert keys == sorted(keys)
+        for s, right, conj in zip(G.gens, G.right, G.conjugations()):
+            s_inv = G.inv(s)
+            for i, x in enumerate(G.elements):
+                assert right[i] == G.index[G.mul(x, s)]
+                assert conj[i] == G.index[G.mul(G.mul(s, x), s_inv)]
+
+
+def test_cap_counts_the_code_tables():
+    # GL_2(F_3) has 48 elements; its row-code tables hold 81 entries more
+    with pytest.raises(ValueError, match="48 and 81 table entries > cap 128"):
+        build_gl(2, F3, cap=128)
+    assert len(build_gl(2, F3, cap=129)) == 48
+
+
 def test_generators_must_be_elementary_and_closed_under_transpose():
     # MatGroup steps by column operations and gets its left tables by
     # transposition, so it refuses generators that allow neither

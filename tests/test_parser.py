@@ -197,6 +197,28 @@ def test_roundtrip_tpoly():
             assert parse(render_tpoly(v), "t_poly", field) == v
 
 
+def test_symbol_powers_match_ring_powers():
+    # a bare symbol to a power is built as a monomial, not by repeated squaring
+    f4 = extension_field(2, degree=2)
+    for field in (F2, F3, f4):
+        T = Poly.x(field)
+        cases = [
+            ("t_poly", "T", T),
+            ("x_poly", "x", T),
+            ("y_poly", "y", YPoly.x(field)),
+            ("y_poly", "T", YPoly.constant(field, T)),
+            ("twisted", "tau", TwistedPoly.x(field)),
+            ("twisted", "T", TwistedPoly.constant(field, T)),
+        ]
+        for mode, name, var in cases:
+            for e in (0, 1, 2, 3, 13, 44):
+                got = parse(f"{name}^{e}", mode, field)
+                assert type(got) is type(var)
+                assert got == var**e, (mode, name, e)
+        assert parse("T^3*y^2 + T^0*y^0", "y_poly", field) == YPoly(field, [T**0, Poly.zero(field), T**3])
+        assert parse_element("x^5", f4) == f4.gen**5
+
+
 def test_roundtrip_ypoly():
     for field in (F2, F3, F5):
         rng = random.Random(field.p + 10)

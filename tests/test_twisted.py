@@ -33,6 +33,23 @@ def test_twisted_mul_golden():
     assert sq == TW(F3, P(F3, 0, 0, 1), P(F3, 0, 1, 0, 1), P(F3, 1))
 
 
+def test_power_squares_only_below_the_top_bit(monkeypatch):
+    # 13 = 0b1101: three products into the result and three squarings, no
+    # fourth squaring after the top bit
+    f = YPoly(F3, [P(F3, 0, 1), P(F3, 1), P(F3, 2, 1)])
+    want = YPoly.one(F3)
+    for _ in range(13):
+        want = want * f
+    products = []
+    mul = YPoly.__mul__
+    monkeypatch.setattr(YPoly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    assert f**13 == want
+    assert len(products) == 6
+    products.clear()
+    assert f**1 == f and f**0 == YPoly.one(F3)
+    assert len(products) == 1
+
+
 def test_commutation_rule():
     tau = TwistedPoly.tau(F3)
     t_const = TwistedPoly.constant(F3, Poly.x(F3))
