@@ -659,15 +659,11 @@ def _is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """The monic irreducible of degree m over F_p whose lower coefficients
     c_0..c_{m-1}, read as the base-p number sum c_i * p^i, are least."""
+    unpack = _codec(p, m)[1]
     for packed in range(p**m):
-        coeffs = []
-        t = packed
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
+        coeffs = unpack(packed) + (1,)
         if _is_irreducible(p, coeffs):
-            return tuple(coeffs)
+            return coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 

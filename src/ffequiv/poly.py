@@ -12,11 +12,16 @@ here and reaches the coefficients through kernels named as a field's.  A
 (see :mod:`ffequiv.fields`), and its field's int kernels are those of the
 coefficient ring; the rings over F_q[T] live in :mod:`ffequiv.twisted`.
 
-Remainders, gcds, Frobenius powers and distinct-degree factorization run on
-coefficient lists (``_trim`` to ``_ddf``), which the Poly functions wrap and
-:mod:`ffequiv.splitting` calls directly.  Frobenius is m = log_p q steps of
-the additive p-th power map (von zur Gathen & Shoup, "Computing Frobenius
-maps and factoring polynomials", Comput. Complexity 2, 1992).
+Remainders, gcds, derivatives, Frobenius powers and the whole factorization
+run on coefficient lists (``_trim`` to ``_ddf``, then squarefree and
+equal-degree splitting), which the Poly functions wrap: ``factor`` builds a
+Poly only for each factor it returns.  :mod:`ffequiv.splitting` calls
+``_gcd``, ``_derivative`` and ``_ddf`` directly, so ``split-check`` and
+``factor`` share them.  Frobenius is m = log_p q steps of the additive p-th
+power map (von zur Gathen & Shoup, "Computing Frobenius maps and factoring
+polynomials", Comput. Complexity 2, 1992); squarefree and equal-degree
+splitting are Musser's and Cantor-Zassenhaus's (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, 14.3-14.4).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from array import array
 from typing import Container, Generator, Iterable, Iterator, Sequence
 
 from . import _Record
-from .fields import FieldElement, FiniteField, _prime_divisors
+from .fields import FieldElement, FiniteField, _codec, _prime_divisors
 
 
 class _Dense:
@@ -300,9 +305,7 @@ class Poly(_Dense):
         return self if lead == 1 else self._scale(self.field.inv(lead))
 
     def derivative(self) -> "Poly":
-        f = self.field
-        p, mul = f.p, f.mul
-        return _mk(f, [mul(c, i % p) for i, c in enumerate(self.coeffs) if i])
+        return _mk(self.field, _derivative(self.field, self.coeffs))
 
     def __call__(self, x: FieldElement) -> FieldElement:
         f = self.field
@@ -411,6 +414,11 @@ def _monic(K: FiniteField, a: list[int]) -> list[int]:
         return a
     mul, u = K.mul, K.inv(lead)
     return [mul(c, u) for c in a]
+
+
+def _derivative(K: FiniteField, a: Sequence[int]) -> list[int]:
+    p, mul = K.p, K.mul
+    return _trim([mul(c, i % p) for i, c in enumerate(a) if i])
 
 
 def _gcd(K: FiniteField, a: list[int], b: list[int]) -> list[int]:
@@ -599,86 +607,74 @@ def _canon_key(p: Poly):
     return (p.degree, p.coeffs[::-1])
 
 
-def _pth_root(g: Poly) -> Poly:
+def _pth_root(K: FiniteField, g: list[int]) -> list[int]:
     """p-th root of a polynomial with zero derivative (finite fields are
     perfect, so the root always exists)."""
-    field = g.field
-    p = field.p
-    e = field.p ** (field.m - 1)
-    power = field.pow
-    cs = []
-    for i, c in enumerate(g.coeffs):
-        if i % p == 0:
-            cs.append(power(c, e))
-        elif c:
-            raise ValueError("not a p-th power")
-    return _mk(field, cs)
+    p = K.p
+    if any(c for i, c in enumerate(g) if i % p):
+        raise ValueError("not a p-th power")
+    e, power = p ** (K.m - 1), K.pow
+    return [power(c, e) for c in g[::p]]
 
 
-def _squarefree_parts(f: Poly) -> list[tuple[int, Poly]]:
+def _squarefree_parts(K: FiniteField, f: list[int]) -> list[tuple[int, list[int]]]:
     """f monic -> [(multiplicity, product of its multiplicity-m irreducible
     factors)], ascending, omitting trivial parts."""
-    p = f.field.p
-    out: dict[int, Poly] = {}
+    p, divrem = K.p, K.divrem
+    out: dict[int, list[int]] = {}
 
-    def put(mult: int, g: Poly):
-        if g.degree > 0:
-            out[mult] = out[mult] * g if mult in out else g
-
-    def rec(g: Poly, scale: int):
-        dg = g.derivative()
-        if dg.is_zero:
-            rec(_pth_root(g), scale * p)
+    def rec(g: list[int], scale: int):
+        dg = _derivative(K, g)
+        if not dg:
+            rec(_pth_root(K, g), scale * p)
             return
-        c = poly_gcd(g, dg)
-        w = g // c
+        c = _gcd(K, g, dg)
+        w = divrem(g, c)[0]
         i = 1
-        while w.degree > 0:
-            y = poly_gcd(w, c)
-            put(i * scale, w // y)
+        while len(w) > 1:
+            y = _gcd(K, w, c)
+            part = divrem(w, y)[0]
+            if len(part) > 1:
+                out[i * scale] = _mul(K, out.get(i * scale, [1]), part)
             w = y
-            c = c // y
+            c = divrem(c, y)[0]
             i += 1
-        if c.degree > 0:
-            rec(_pth_root(c), scale * p)
+        if len(c) > 1:
+            rec(_pth_root(K, c), scale * p)
 
     rec(f, 1)
     return sorted(out.items())
 
 
-def _distinct_degree(f: Poly) -> list[tuple[int, Poly]]:
-    """f monic squarefree -> [(d, product of its degree-d factors)]."""
-    K = f.field
-    return [(d, _mk(K, g)) for d, g in _ddf(K, list(f.coeffs))]
-
-
-def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+def _equal_degree(K: FiniteField, f: list[int], d: int, rng: random.Random) -> list[list[int]]:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d
     irreducibles; trace-map variant in characteristic 2."""
-    if f.degree == d:
+    n, q = len(f) - 1, K.q
+    if n == d:
         return [f]
-    field = f.field
-    q = field.q
     while True:
-        u = _mk(field, [rng.randrange(q) for _ in range(f.degree)])
-        if u.degree < 1:
+        u = _trim([rng.randrange(q) for _ in range(n)])
+        if len(u) < 2:
             continue
         # u need not be coprime to f: a u sharing a factor with f is rare,
         # and the trace (the power, for odd p) splits f through gcd(v, f)
-        if field.p == 2:
+        if K.p == 2:
             # absolute trace of u in F_{q^d} = F_2[x]/..., summed Frobenius
             # orbit; u and each term are below deg f, so their sum is too
-            v = acc = u
-            for _ in range(field.m * d - 1):
-                acc = acc * acc % f
-                v = v + acc
+            v = u + [0] * (n - len(u))
+            acc = u
+            for _ in range(K.m * d - 1):
+                acc = _rem(K, _mul(K, acc, acc), f)
+                K.addmul(v, 1, acc, 0)
+            _trim(v)
         else:
-            v = pow_mod(u, (q**d - 1) // 2, f) - Poly.one(field)
-        if v.is_zero:
+            v = _pow_mod(K, u, (q**d - 1) // 2, f)
+            v = _trim([K.sub(v[0] if v else 0, 1), *v[1:]])
+        if not v:
             continue
-        g = poly_gcd(v, f)
-        if 0 < g.degree < f.degree:
-            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+        g = _gcd(K, v, f)
+        if 1 < len(g) < len(f):
+            return _equal_degree(K, g, d, rng) + _equal_degree(K, K.divrem(f, g)[0], d, rng)
 
 
 def factor(f: Poly, seed: int = 0) -> Factorization:
@@ -686,16 +682,13 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
     if f.degree < 1:
         raise ValueError("cannot factor a constant polynomial")
     rng = random.Random(seed)
-    unit = f.leading
-    found: list[tuple[Poly, int]] = []
-    for mult, part in _squarefree_parts(f.monic()):
-        for d, prod in _distinct_degree(part):
-            if prod.degree == d:
-                found.append((prod, mult))
-            else:
-                found.extend((h, mult) for h in _equal_degree(prod, d, rng))
+    K = f.field
+    found = [(_mk(K, h), mult)
+             for mult, part in _squarefree_parts(K, _monic(K, list(f.coeffs)))
+             for d, prod in _ddf(K, part)
+             for h in _equal_degree(K, prod, d, rng)]
     found.sort(key=lambda fe: _canon_key(fe[0]))
-    return Factorization(unit, tuple(found))
+    return Factorization(f.leading, tuple(found))
 
 
 # ---------------------------------------------------------------------------
@@ -704,14 +697,6 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 SIEVE_LIMIT = 1 << 24  # most candidates (q^d) that monic_irreducibles sieves
 # packed lower coefficients sum(c_i * q^i), i < d, of the degree-d monic irreducibles
 _IRR_PACKED: dict[tuple[FiniteField, int], array] = {}
-
-
-def _digits(idx: int, q: int, d: int) -> list[int]:
-    out = []
-    for _ in range(d):
-        idx, c = divmod(idx, q)
-        out.append(c)
-    return out
 
 
 def _irr_packed(field: FiniteField, d: int) -> array:
@@ -736,6 +721,7 @@ def _irr_packed(field: FiniteField, d: int) -> array:
     mark = bytearray(q**d)
     for e in range(1, d // 2 + 1):
         de = d - e
+        pack, unpack = _codec(q, e)
         for packed in _irr_packed(field, e):
             if e == 1:
                 cc = packed
@@ -747,17 +733,14 @@ def _irr_packed(field: FiniteField, d: int) -> array:
                     idx = idx * q + mul(cc, v[0])
                     mark[idx] = 1
             else:
-                uu = _digits(packed, q, e) + [1]
+                uu = unpack(packed) + (1,)
                 for v in itertools.product(range(q), repeat=de):
                     vv = v + (1,)
                     acc = [0] * (d + 1)
                     for i, ui in enumerate(uu):
                         if ui:
                             addmul(acc, ui, vv, i)
-                    idx = 0
-                    for c in reversed(acc[:d]):
-                        idx = idx * q + c
-                    mark[idx] = 1
+                    mark[pack(acc[:d])] = 1
     res = _IRR_PACKED[key] = array("I", (idx for idx in range(q**d) if not mark[idx]))
     return res
 
@@ -767,8 +750,8 @@ def monic_irreducibles(field: FiniteField, d: int) -> list[Poly]:
     from the leading end."""
     if d < 1:
         raise ValueError("degree must be positive")
-    q = field.q
-    return [_mk(field, _digits(idx, q, d) + [1]) for idx in _irr_packed(field, d)]
+    unpack = _codec(field.q, d)[1]
+    return [_mk(field, [*unpack(idx), 1]) for idx in _irr_packed(field, d)]
 
 
 def _random_irreducibles(field: FiniteField, d: int, rng: random.Random,

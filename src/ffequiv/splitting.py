@@ -36,8 +36,8 @@ from typing import Union
 from . import _Record
 from .exprs import render_tpoly
 from .fields import TABLE_LIMIT, FiniteField, _rebuild_field, extension_field, prime_field
-from .poly import (Poly, _ddf, _gcd, _mk, _monic, _random_irreducibles, is_irreducible,
-                   monic_irreducibles)
+from .poly import (Poly, _ddf, _derivative, _gcd, _mk, _monic, _random_irreducibles,
+                   is_irreducible, monic_irreducibles)
 from .twisted import YPoly
 
 
@@ -200,7 +200,8 @@ def _classify(f: YPoly, r: Poly) -> SideResult:
         return SideResult("leading_coeff_vanishes", None)
     if r.degree < 1:
         raise ValueError("cannot take the splitting type of a constant polynomial")
-    K, cs, dr = r.field, list(r.coeffs), list(r.derivative().coeffs)
+    K, cs = r.field, list(r.coeffs)
+    dr = _derivative(K, cs)
     if not dr or len(_gcd(K, cs, dr)) > 1:
         return SideResult("repeated_factor", None)
     degrees = [d for d, g in _ddf(K, _monic(K, cs)) for _ in range((len(g) - 1) // d)]

@@ -9,7 +9,7 @@ from ffequiv.poly import (
     factor,
     is_irreducible,
     monic_irreducibles,
-    _distinct_degree,
+    _ddf,
     poly_gcd,
     pow_mod,
     random_irreducible,
@@ -373,7 +373,8 @@ def _pow_mod_reference(base, e, mod):
 
 def _distinct_degree_reference(f):
     """Distinct-degree factorization with one square-and-multiply
-    Frobenius step per degree, reduced mod the shrinking f."""
+    Frobenius step per degree, reduced mod the shrinking f; each product
+    as its coefficient list, as ``_ddf`` gives it."""
     q = f.field.q
     x = Poly.x(f.field)
     out = []
@@ -389,7 +390,7 @@ def _distinct_degree_reference(f):
             h = h % f
     if f.degree > 0:
         out.append((f.degree, f))
-    return out
+    return [(d, list(g.coeffs)) for d, g in out]
 
 
 def test_distinct_degree_matches_reference():
@@ -402,7 +403,7 @@ def test_distinct_degree_matches_reference():
             f = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(n)] + [1])
             if not poly_gcd(f, f.derivative()).is_one:
                 continue
-            assert _distinct_degree(f) == _distinct_degree_reference(f), f
+            assert _ddf(field, list(f.coeffs)) == _distinct_degree_reference(f), f
             assert factor(f).expand() == f, f
             done += 1
     # shrinking moduli: products of irreducibles of mixed degrees
@@ -411,7 +412,7 @@ def test_distinct_degree_matches_reference():
         f = Poly.one(field)
         for s, d in enumerate(degs):
             f = f * random_irreducible(field, d, seed=s)
-        assert _distinct_degree(f) == _distinct_degree_reference(f), f
+        assert _ddf(field, list(f.coeffs)) == _distinct_degree_reference(f), f
 
 
 def test_factorization_degrees():
