@@ -22,6 +22,7 @@ in the orbit of that of H under the same conjugation permutations.
 
 from __future__ import annotations
 
+import gc
 import operator
 from array import array
 from functools import partial
@@ -176,6 +177,16 @@ class MatGroup:
     """
 
     def __init__(self, field, n, scalar_subgroup, gens, canon_scalar):
+        # every tuple the build allocates stays reachable: a collector pass frees nothing
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._build(field, n, scalar_subgroup, gens, canon_scalar)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _build(self, field, n, scalar_subgroup, gens, canon_scalar):
         self.field = field
         self.n = n
         self.scalar_subgroup = scalar_subgroup

@@ -695,28 +695,20 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 # enumeration of monic irreducibles
 
 SIEVE_LIMIT = 1 << 24  # most candidates (q^d) that monic_irreducibles sieves
-# packed lower coefficients sum(c_i * q^i), i < d, of the degree-d monic irreducibles
-_IRR_PACKED: dict[tuple[FiniteField, int], array] = {}
 
 
 def _irr_packed(field: FiniteField, d: int) -> array:
     """The monic irreducibles of degree d, each packed as the base-q number
     of its lower coefficients (c_0..c_{d-1}, leading 1 implied), found by
     sieving out products of lower-degree monic polynomials.  Ascending, so
-    sorted by coefficients from the leading end."""
-    key = (field, d)
-    got = _IRR_PACKED.get(key)
-    if got is not None:
-        return got
+    sorted by coefficients from the leading end.  Nothing is kept: a lower
+    degree is sieved again, at most q^(d/2) candidates."""
     q = field.q
     if q**d > SIEVE_LIMIT:
         raise ValueError(
             f"listing degree-{d} irreducibles over GF({q}) sieves {q}^{d} candidates, "
             f"more than the limit of {SIEVE_LIMIT}"
         )
-    if d == 1:
-        res = _IRR_PACKED[key] = array("I", range(q))
-        return res
     add, mul, addmul = field.add, field.mul, field.addmul
     mark = bytearray(q**d)
     for e in range(1, d // 2 + 1):
@@ -741,8 +733,7 @@ def _irr_packed(field: FiniteField, d: int) -> array:
                         if ui:
                             addmul(acc, ui, vv, i)
                     mark[pack(acc[:d])] = 1
-    res = _IRR_PACKED[key] = array("I", (idx for idx in range(q**d) if not mark[idx]))
-    return res
+    return array("I", (idx for idx in range(q**d) if not mark[idx]))
 
 
 def monic_irreducibles(field: FiniteField, d: int) -> list[Poly]:

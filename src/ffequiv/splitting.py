@@ -9,16 +9,16 @@ comparison, everything else is Good and contributes an equal/unequal row.
 Every reduction is an evaluation: f mod P is read as the image of f under
 T -> alpha for a root alpha of P in a field K of order p^d, d = deg P, an
 isomorphism from F_p[T]/(P) onto K.  Every residue field of a prime of
-degree d is F_{p^d}, so a batch comparison builds one field K_d per degree
-and walks its Frobenius orbits once: an orbit of size d is the root set of
-one prime P.  Where K_d has no tables, or too few primes share it to repay
-the walk, K is F_p[T]/(P) itself, with the class of T as its root, and is
-freed when the prime is done.
+degree d is F_{p^d}, so a comparison builds one table per degree, K_d and a
+root of each prime, by one walk over its Frobenius orbits: an orbit of size
+d is the root set of one prime P.  The table lists, samples and reduces the
+degree's primes, and goes when the comparison returns.  Where a sampled
+degree has no tables, or too few primes to repay the walk, K is F_p[T]/(P),
+with the class of T as its root, and is freed when the prime is done.
 
 Evaluation is Horner's rule on indices of K, with one product for each run
-of zero coefficients.  A sampled selection on a degree that takes the orbit
-route accepts a random candidate by looking it up in the root map, not by
-Rabin's test.
+of zero coefficients.  A sampled selection with a table accepts a random
+candidate by looking it up in the table, not by Rabin's test.
 
 A Good reduction is squarefree, so its splitting type follows from
 distinct-degree factorization alone, run on coefficient lists by the list
@@ -30,14 +30,12 @@ from __future__ import annotations
 
 import os
 import random
-from collections import Counter
 from typing import Union
 
 from . import _Record
 from .exprs import render_tpoly
 from .fields import TABLE_LIMIT, FiniteField, _rebuild_field, extension_field, prime_field
-from .poly import (Poly, _ddf, _derivative, _gcd, _mk, _monic, _random_irreducibles,
-                   is_irreducible, monic_irreducibles)
+from .poly import Poly, _ddf, _derivative, _gcd, _mk, _monic, _random_irreducibles, is_irreducible
 from .twisted import YPoly
 
 
@@ -112,23 +110,19 @@ def _check_prime(f: YPoly, P: Poly):
         raise ValueError("P must live over the same base field as f")
 
 
-# (p, d) -> (K_d, {P.coeffs: the index of a root of P in K_d})
-_ORBIT_ROOTS: dict[tuple[int, int], tuple[FiniteField, dict[tuple[int, ...], int]]] = {}
+# K_d and {P.coeffs: the index of a root of P in K_d} for the primes P of degree d
+_Table = tuple[FiniteField, dict[tuple[int, ...], int]]
 
 
-def _orbit_roots(p: int, d: int) -> tuple[FiniteField, dict[tuple[int, ...], int]]:
+def _orbit_roots(p: int, d: int) -> _Table:
     """K_d = F_{p^d} and a root in it of every monic irreducible P of
     degree d over F_p, keyed by P.coeffs.
 
     A Frobenius orbit {b, b^p, b^(p^2), ...} of size d in K_d is the root
     set of exactly one such P, the product of (y - c) over the orbit, whose
     coefficients are prime-field constants, so one walk over K_d finds every
-    P with a root.  Cached per (p, d): K_d is interned and built once.
+    P with a root.
     """
-    key = (p, d)
-    got = _ORBIT_ROOTS.get(key)
-    if got is not None:
-        return got
     K = prime_field(p) if d == 1 else extension_field(p, degree=d)
     power, neg, addmul = K.pow, K.neg, K.addmul
     roots = {}
@@ -151,22 +145,21 @@ def _orbit_roots(p: int, d: int) -> tuple[FiniteField, dict[tuple[int, ...], int
                     addmul(out, neg(c), prod, 0)
                 prod = out
             roots[tuple(prod)] = b
-    got = _ORBIT_ROOTS[key] = (K, roots)
-    return got
+    return K, roots
 
 
-def _root(P: Poly, by_orbit: bool) -> tuple[FiniteField, int]:
+def _root(P: Poly, table: _Table | None) -> tuple[FiniteField, int]:
     """A field K of order p^d and the index of a root of P in it, for a
-    prime P of degree d over a prime field.  by_orbit takes K_d and the root
-    from _orbit_roots; otherwise K is F_p[T]/(P), where the class of T is a
+    prime P of degree d over a prime field: K_d and P's root from the table
+    of its degree, or without one, F_p[T]/(P), where the class of T is a
     root, or the base field, where -c_0 is the root of T + c_0.  P is not
     tested here: every caller has a prime already."""
+    if table is not None:
+        K, roots = table
+        return K, roots[P.coeffs]
     base = P.field
     if base.m != 1:
         raise ValueError("reduction is implemented over prime base fields only")
-    if by_orbit:
-        K, roots = _orbit_roots(base.p, P.degree)
-        return K, roots[P.coeffs]
     if P.degree == 1:
         return base, base.neg(P.coeffs[0])
     return _rebuild_field(base.p, P.coeffs), base.p
@@ -215,13 +208,13 @@ def reduce_mod_prime(f: YPoly, P: Poly) -> Poly:
     drops when the leading coefficient of f lies in (P).
     """
     _check_prime(f, P)
-    return _evaluate(f, *_root(P, False))
+    return _evaluate(f, *_root(P, None))
 
 
 def split_type(f: YPoly, P: Poly) -> SideResult:
     """Classify one side at one prime: Bad reason or sorted degree multiset."""
     _check_prime(f, P)
-    return _classify(f, _evaluate(f, *_root(P, False)))
+    return _classify(f, _evaluate(f, *_root(P, None)))
 
 
 def _orbits_pay(p: int, d: int, count: int) -> bool:
@@ -234,9 +227,9 @@ def _orbits_pay(p: int, d: int, count: int) -> bool:
     return p**d <= TABLE_LIMIT and 2 * count >= d + 2
 
 
-def _verdict_at(f: YPoly, g: YPoly, P: Poly, by_orbit: bool) -> PrimeVerdict:
+def _verdict_at(f: YPoly, g: YPoly, P: Poly, table: _Table | None) -> PrimeVerdict:
     """The verdict at P, from f and g evaluated at the root _root gives."""
-    K, alpha = _root(P, by_orbit)
+    K, alpha = _root(P, table)
     rf = _classify(f, _evaluate(f, K, alpha))
     rg = _classify(g, _evaluate(g, K, alpha))
     reason = None  # a degree drop on either side outranks a repeated factor
@@ -277,7 +270,12 @@ def irreducible_count(q: int, d: int) -> int:
 # tables takes about 150 ms over F_3 (3^11 to 3^13), about 25 minutes in all.
 PRIME_COUNT_LIMIT = 10_000
 
-def _select_primes(field: FiniteField, selection: PrimeSelection, seed: int) -> list[Poly]:
+def _select_primes(field: FiniteField, selection: PrimeSelection,
+                   seed: int) -> tuple[list[Poly], dict[int, _Table]]:
+    """The primes of the selection, and the tables of their degrees.  Every
+    degree >= 2 that PRIME_COUNT_LIMIT admits has p^d <= TABLE_LIMIT."""
+    if field.m != 1:
+        raise ValueError("reduction is implemented over prime base fields only")
     if isinstance(selection, Exhaustive):
         if selection.max_degree < 1:
             raise ValueError("empty prime selection")
@@ -287,10 +285,12 @@ def _select_primes(field: FiniteField, selection: PrimeSelection, seed: int) -> 
                 f"{total} primes have degree <= {selection.max_degree} over GF({field.q}), "
                 f"more than the limit of {PRIME_COUNT_LIMIT} for one comparison"
             )
-        out = []
+        primes, tables = [], {}
         for d in range(1, selection.max_degree + 1):
-            out.extend(monic_irreducibles(field, d))
-        return out
+            tables[d] = table = _orbit_roots(field.p, d)
+            # ordered as monic_irreducibles lists them, from the leading end
+            primes.extend(_mk(field, list(c)) for c in sorted(table[1], key=lambda c: c[::-1]))
+        return primes, tables
     if isinstance(selection, Sampled):
         if selection.count < 1:
             raise ValueError("empty prime selection")
@@ -308,24 +308,24 @@ def _select_primes(field: FiniteField, selection: PrimeSelection, seed: int) -> 
                 f"{PRIME_COUNT_LIMIT} for one comparison"
             )
         rng = random.Random(seed if selection.seed is None else selection.seed)
-        known = None  # on the orbit route, the root map decides irreducibility
-        if field.m == 1 and _orbits_pay(field.p, selection.degree, selection.count):
-            known = _orbit_roots(field.p, selection.degree)[1]
-        draws = _random_irreducibles(field, selection.degree, rng, known)
-        return [next(draws) for _ in range(selection.count)]
+        d = selection.degree
+        tables = {d: _orbit_roots(field.p, d)} if _orbits_pay(field.p, d, selection.count) else {}
+        # with a table, its root map decides irreducibility
+        draws = _random_irreducibles(field, d, rng, tables[d][1] if tables else None)
+        return [next(draws) for _ in range(selection.count)], tables
     raise TypeError(f"unknown prime selection {selection!r}")
 
 
 _WORK: dict = {}
 
 
-def _init_worker(f, g, by_orbit):
-    _WORK["args"] = (f, g, by_orbit)
+def _init_worker(f, g, tables):
+    _WORK["args"] = (f, g, tables)
 
 
 def _run_worker(P):
-    f, g, by_orbit = _WORK["args"]
-    return _verdict_at(f, g, P, P.degree in by_orbit)
+    f, g, tables = _WORK["args"]
+    return _verdict_at(f, g, P, tables.get(P.degree))
 
 
 class EquivalenceReport(_Record):
@@ -388,22 +388,16 @@ def compare_split_types(
     """
     if f.field is not g.field:
         raise ValueError("f and g must share a base field")
-    primes = _select_primes(f.field, selection, seed)
-    if not primes:
-        raise ValueError("empty prime selection")
-    # the degrees whose primes share one field and one root map
-    counts = Counter(P.degree for P in primes)
-    by_orbit = frozenset(d for d, n in counts.items() if _orbits_pay(f.field.p, d, n))
+    primes, tables = _select_primes(f.field, selection, seed)
     workers = min(jobs, len(primes), os.cpu_count() or 1)
     if workers > 1:
         # imported here: it loads multiprocessing, which one worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        # each worker builds the root map of a degree once, when it first needs it
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(f, g, by_orbit)
+            max_workers=workers, initializer=_init_worker, initargs=(f, g, tables)
         ) as pool:
             verdicts = tuple(pool.map(_run_worker, primes))
     else:
-        verdicts = tuple(_verdict_at(f, g, P, P.degree in by_orbit) for P in primes)
+        verdicts = tuple(_verdict_at(f, g, P, tables.get(P.degree)) for P in primes)
     return EquivalenceReport(verdicts)

@@ -221,11 +221,11 @@ def test_split_check_selection_flags_exclusive(capsys):
 
 
 def test_split_check_prime_count_cap(capsys, monkeypatch):
-    # 533 830 primes of degree <= 14 over F_3: refused before any sieving
+    # 533 830 primes of degree <= 14 over F_3: refused before any listing
     def refuse(*args):
-        raise AssertionError("sieving started")
+        raise AssertionError("listing started")
 
-    monkeypatch.setattr(splitting, "monic_irreducibles", refuse)
+    monkeypatch.setattr(splitting, "_orbit_roots", refuse)
     rc, out, err = run(capsys, ["split-check", "--pair", "gl2_f3_deg8", "--max-degree", "14"])
     assert rc == 2
     assert out == ""

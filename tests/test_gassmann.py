@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -269,6 +270,22 @@ def test_generators_must_be_elementary_and_closed_under_transpose():
     upper = [G.gens[0], MatElem.from_ints(F3, [[1, 1], [0, 1]])]
     with pytest.raises(ValueError, match="closed under transposition"):
         MatGroup(F3, 2, G.scalar_subgroup, upper, G._canon_scalar)
+
+
+def test_build_leaves_the_cycle_collector_as_it_found_it():
+    # the build runs with the collector off, and a failed build restores it too
+    G = build_gl(2, F3)
+    swap = MatElem.from_ints(F3, [[0, 1], [1, 0]])
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert len(build_gl(2, F3)) == 48
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="one entry"):
+                MatGroup(F3, 2, G.scalar_subgroup, [*G.gens, swap], G._canon_scalar)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_certificate_example1(ex1_f3):

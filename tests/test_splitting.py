@@ -1,10 +1,12 @@
 import concurrent.futures
+import gc
 import json
 import os
 import pickle
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from ffequiv import fields, splitting
 from ffequiv.cli import _read_pair_source, load_pair
 from ffequiv.exprs import parse, render_residue_poly
-from ffequiv.fields import extension_field, prime_field
+from ffequiv.fields import TABLE_LIMIT, extension_field, is_prime, prime_field
 from ffequiv.poly import (Poly, _mk, factor, is_irreducible, monic_irreducibles, poly_gcd,
                           random_irreducible)
 from ffequiv.splitting import (
@@ -290,6 +292,12 @@ def test_selection_errors(pair1):
         compare_split_types(f, h, Exhaustive(1))
     with pytest.raises(ValueError, match="more than the limit"):
         compare_split_types(f, g, Sampled(splitting.PRIME_COUNT_LIMIT + 1, 12))
+    # the orbit walk lists primes over F_p only, never over an extension
+    F4 = extension_field(2, modulus=[1, 1, 1])
+    f4 = parse("y^2 + T", "y_poly", F4)
+    for selection in (Exhaustive(2), Sampled(3, 2)):
+        with pytest.raises(ValueError, match="prime base fields only"):
+            compare_split_types(f4, f4, selection)
 
 
 INTERN_PROBE = """
@@ -313,8 +321,8 @@ print(json.dumps(out))
 
 def test_comparison_interns_no_residue_field():
     # In a fresh interpreter, so that no earlier test has interned a field:
-    # the orbit route interns one field per degree, which stays for later
-    # comparisons, and a per-prime residue field goes when its prime is done.
+    # the table of a degree goes with its comparison, and a per-prime
+    # residue field goes when its prime is done.
     env = dict(os.environ, PYTHONPATH=str(Path(splitting.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", INTERN_PROBE], capture_output=True, text=True, env=env
@@ -323,7 +331,7 @@ def test_comparison_interns_no_residue_field():
     got = json.loads(proc.stdout)
     exhaustive = got["exhaustive"]
     assert exhaustive["primes"] == 80
-    assert sorted(exhaustive["degrees"]) == [2, 3, 4, 5]
+    assert exhaustive["degrees"] == []
     assert got["sampled"] == {"primes": 2, "degrees": []}
 
 
@@ -342,6 +350,53 @@ def test_orbit_roots_cover_every_prime(p):
             assert Poly(K, key)(K.from_index(alpha)).is_zero, (P, alpha)
 
 
+def test_exhaustive_degrees_have_tables():
+    # an Exhaustive selection walks the Frobenius orbits of every degree it
+    # lists, which is cheap only in a field with tables
+    for p in filter(is_prime, range(2, 10_000)):
+        total, d = p, 1
+        while True:
+            d += 1
+            total += irreducible_count(p, d)
+            if total > splitting.PRIME_COUNT_LIMIT:
+                break
+            assert p**d <= TABLE_LIMIT, (p, d)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_exhaustive_listing_matches_sieve(p):
+    # the orbit walk lists each degree in the order of monic_irreducibles
+    base = prime_field(p)
+    top = max(d for d in range(1, 13) if p**d <= 4096)
+    primes, tables = splitting._select_primes(base, Exhaustive(top), 0)
+    assert sorted(tables) == list(range(1, top + 1))
+    assert primes == [P for d in range(1, top + 1) for P in monic_irreducibles(base, d)]
+
+
+def test_fields_freed_with_their_results():
+    # no module cache holds a field: once the results of a comparison or a
+    # listing are dropped, every field built for them is freed by refcount
+    base = prime_field(13)
+    f, g = parse("y^2 + T", "y_poly", base), parse("y^2 + 2*T", "y_poly", base)
+
+    def extensions():
+        return [mod for p, mod in fields._FIELD_CACHE if p == 13 and mod is not None]
+
+    gc.collect()
+    gc.disable()
+    try:
+        for selection in (Exhaustive(2), Sampled(3, 3)):
+            assert compare_split_types(f, g, selection).verdicts
+            assert extensions() == [], selection
+        K = extension_field(13, degree=2)
+        ref = weakref.ref(K)
+        assert len(monic_irreducibles(K, 2)) == irreducible_count(169, 2)
+        del K
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_orbit_route_only_where_it_pays():
     assert not splitting._orbits_pay(3, 10, 3)  # --samples 3 --degree 10
     assert splitting._orbits_pay(3, 10, 40)
@@ -356,6 +411,7 @@ def test_orbit_route_agrees_with_residue_fields(name):
     # in F_p[T]/(P), against each coefficient reduced mod P in that field
     pair = load_pair(_read_pair_source(name))
     base = pair.field
+    tables = {d: splitting._orbit_roots(base.p, d) for d in range(1, 6)}
     for d in range(1, 6):
         for prime in monic_irreducibles(base, d):
             res = base if d == 1 else extension_field(base.p, modulus=prime.coeffs)
@@ -364,8 +420,8 @@ def test_orbit_route_agrees_with_residue_fields(name):
                 red = _mk(res, [res.pack((c % prime).coeffs) for c in h.coeffs])
                 assert reduce_mod_prime(h, prime) == red, prime
                 want.append(splitting._classify(h, red))
-            by_orbit = splitting._verdict_at(pair.f, pair.g, prime, by_orbit=True)
-            per_prime = splitting._verdict_at(pair.f, pair.g, prime, by_orbit=False)
+            by_orbit = splitting._verdict_at(pair.f, pair.g, prime, tables[d])
+            per_prime = splitting._verdict_at(pair.f, pair.g, prime, None)
             assert by_orbit == per_prime, prime
             assert (by_orbit.type_f, by_orbit.type_g) == (want[0].split, want[1].split)
             assert by_orbit.is_bad == (want[0].is_bad or want[1].is_bad), prime
