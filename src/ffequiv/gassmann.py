@@ -5,16 +5,17 @@ a scalar subgroup S, is a sorted tuple of canonical representative matrices
 with dictionary membership.  A matrix holds the field indices of its entries
 and multiplies, inverts and scales them with the field's int kernels.
 
-The group is spanned breadth first from elementary generators (its order is
-checked against the formula) on row codes: a row is the int whose base-q
-digits are its entries, a matrix the tuple of its row codes.  A step by a
-generator 1 + c*E_ij is one column operation, a lookup per row in a table of
-the q^n codes, and every step is kept in a right-multiplication table on
-element indices.  Transposes are looked up by their codes too.
-Transposition is an anti-automorphism that maps those generators to each
-other, so left multiplication, and with it conjugation by a generator, is a
-composite of tables: conjugacy classes are orbits of ints, found without a
-matrix product.  Subgroups are checked closed from
+Groups and subgroups are spanned breadth first on row codes: a row is the
+int whose base-q digits are its entries, a matrix the tuple of its row
+codes.  A generator g is a table of the code of row * g for each of the q^n
+codes, so a step by g is a lookup per row, and the group keeps every step
+in a right-multiplication table on element indices.  GL_n(F_q) is spanned
+from diag(g0, 1, ..., 1) and the transvections 1 + E_{i,i+1}, 1 + E_{i+1,i},
+and its order is checked against the formula.  Transposes are looked up by
+their codes too.  Transposition is an anti-automorphism and the generators
+are closed under it, so left multiplication, and with it conjugation by a
+generator, is a composite of tables: conjugacy classes are orbits of ints,
+found without a matrix product.  Subgroups are checked closed by spanning
 generators picked among their members.  Permutation characters on G/H come
 from class counts, and H and H' are conjugate when the index set of H' is
 in the orbit of that of H under the same conjugation permutations.
@@ -162,42 +163,50 @@ class MatGroup:
     """GL_n(F_q), or GL_n(F_q)/S for a scalar subgroup S, spanned by gens.
 
     Elements are canonical coset representatives: the first nonzero entry in
-    row-major order lies in the fixed transversal of S in F_q^x (powers of
-    the smallest generator).  canon_scalar[e] is the multiplier that takes
-    a nonzero entry e there.  mul and inv re-canonicalize, which is the
-    quotient group law.
+    row-major order lies in the fixed transversal of S in F_q^x, the powers
+    g0^k, k < (q - 1)/|S|, of the smallest generator g0.  mul and inv
+    re-canonicalize, which is the quotient group law.
 
-    The span is walked on row codes: the code of a row is the int whose
-    base-q digits are its entries, the first entry most significant, so
-    codes compare as rows do.  A matrix is the tuple of its row codes, and
-    a step by a generator, or a scaling into the transversal, is one lookup
-    per row in a table of q^n codes.  The enumeration keeps the products it
-    computes: right[k][i] is the index of elements[i] * gens[k], one
-    array('I') per generator.
+    The generators may be any invertible matrices whose transposes are
+    among them.  The span is walked on row codes: the code of a row is the
+    int whose base-q digits are its entries, the first entry most
+    significant, so codes compare as rows do.  A matrix is the tuple of its
+    row codes, and a step by a generator, or a scaling into the
+    transversal, is one lookup per row in a table of q^n codes.  The
+    enumeration keeps the products it computes: right[k][i] is the index of
+    elements[i] * gens[k], one array('I') per generator.
     """
 
-    def __init__(self, field, n, scalar_subgroup, gens, canon_scalar):
+    def __init__(self, field, n, scalar_subgroup, gens):
         # every tuple the build allocates stays reachable: a collector pass frees nothing
         enabled = gc.isenabled()
         gc.disable()
         try:
-            self._build(field, n, scalar_subgroup, gens, canon_scalar)
+            self._build(field, n, scalar_subgroup, gens)
         finally:
             if enabled:
                 gc.enable()
 
-    def _build(self, field, n, scalar_subgroup, gens, canon_scalar):
+    def _build(self, field, n, scalar_subgroup, gens):
         self.field = field
         self.n = n
         self.scalar_subgroup = scalar_subgroup
-        self._canon_scalar = canon_scalar
-        q, add, mul = field.q, field.add, field.mul
+        q, mul = field.q, field.mul
         self._rows = rows = list(product(range(q), repeat=n))  # the row of each code
         weights = [q ** (n - 1 - j) for j in range(n)]
         # digits[j][i][code]: entry j of that row, weighted as entry i of a row
         digits = [[[r[j] * w for r in rows] for w in weights] for j in range(n)]
         self._shift = None
         if len(scalar_subgroup) > 1:
+            # canon_scalar[e], a member of S, takes a nonzero e = g0^k to its
+            # transversal representative g0^(k mod step)
+            step = (q - 1) // len(scalar_subgroup)
+            g0 = _smallest_generator(field).index
+            canon_scalar = [0] * q
+            a = 1
+            for k in range(q - 1):
+                canon_scalar[a] = field.pow(g0, (k % step - k) % (q - 1))
+                a = mul(a, g0)
             # shift[code] takes a matrix whose first row has that code into
             # the transversal: None if it is there, else the table of u * row
             scaled = {
@@ -205,20 +214,11 @@ class MatGroup:
                 for u in set(canon_scalar[1:]) - {1}
             }
             self._shift = [None] + [scaled.get(canon_scalar[next(filter(None, r))]) for r in rows[1:]]
-        acts = []  # per generator, the code of row * g for each row code
-        for g in gens:
-            moved = [(i, j) for i in range(n) for j in range(n) if g.rows[i][j] != int(i == j)]
-            if len(moved) != 1:
-                raise ValueError("each generator must differ from the identity in one entry")
-            (i, j), = moved
-            c, w = field.sub(g.rows[i][j], int(i == j)), weights[j]
-            # row * (1 + c*E_ij) adds c times entry i to entry j
-            acts.append([k + (add(r[j], mul(c, r[i])) - r[j]) * w for k, r in enumerate(rows)])
         self.gens = tuple(self.canon(g) for g in gens)
         codes = [self._codes(g) for g in self.gens]
         if not set(self._transposes(codes, digits)) <= set(codes):
             raise ValueError("the generators must be closed under transposition")
-        found, number, products = self._enumerate(acts)
+        found, number, products = self._enumerate(self.gens)
         transposes = list(map(number.__getitem__, self._transposes(found, digits)))
         del number  # freed before the elements are built, which bounds the peak
         order = sorted(range(len(found)), key=found.__getitem__)
@@ -236,11 +236,24 @@ class MatGroup:
         self._conjugations = None
         self._classes = None
 
-    def _enumerate(self, acts):
-        """The span of the generators, given as row-code tables, from the
-        identity, breadth first a layer at a time: the codes of the elements
-        in the order found, the dict from codes to that order, and per
-        generator s the find number of x * s for each x in that order."""
+    def _act(self, g: MatElem) -> list:
+        """The code of row * g for each row code."""
+        n, q, addmul = self.n, self.field.q, self.field.addmul
+        out = []
+        for r in self._rows:
+            acc = [0] * n
+            for c, rg in zip(r, g.rows):
+                if c:
+                    addmul(acc, c, rg, 0)
+            out.append(_row_code(acc, q))
+        return out
+
+    def _enumerate(self, gens):
+        """The span of gens from the identity, breadth first a layer at a
+        time: the codes of the elements in the order found, the dict from
+        codes to that order, and per generator s the find number of x * s
+        for each x in that order."""
+        acts = list(map(self._act, gens))
         found = [tuple(self.field.q ** k for k in reversed(range(self.n)))]
         number = {found[0]: 0}
         setdefault = number.setdefault
@@ -277,7 +290,7 @@ class MatGroup:
         """The canonical codes of the transposes of the matrices with the
         given codes, in order.  Row j of a transpose is the sum over i of
         entry j of row i weighted as entry i: a column of lookups per i."""
-        columns = list(zip(*matrices))
+        columns = list(zip(*matrices)) or [()] * self.n
         rows = []
         for entry in digits:
             row = map(entry[0].__getitem__, columns[0])
@@ -309,17 +322,11 @@ class MatGroup:
         return self.canon(a.inverse())
 
     def span(self, gens) -> set[MatElem]:
-        """The subgroup generated by canonical gens (products alone suffice: it is finite)."""
-        seen = {self.identity}
-        todo = list(seen)
-        while todo:
-            x = todo.pop()
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-        return seen
+        """The subgroup generated by gens, walked on row codes as the group
+        is (products alone suffice: it is finite)."""
+        rows = self._rows
+        make = partial(MatElem._make, self.field, self.n)
+        return {make(tuple(map(rows.__getitem__, y))) for y in self._enumerate(gens)[0]}
 
     def conjugations(self) -> tuple[array, ...]:
         """Per generator s, conjugation by s as a permutation of element
@@ -422,33 +429,26 @@ def build_gl(
         raise ValueError(f"enumeration cap exceeded: group order {shown} > cap {cap}")
     # MatGroup keeps tables of q^n row codes too: one per generator, n^2 for
     # transposes, one to read rows back and at most |S| to scale
-    tables = ((q > 2) + n * (n - 1) * field.m + n * n + 1 + len(s_elems)) * q**n
+    tables = ((q > 2) + 2 * (n - 1) + n * n + 1 + len(s_elems)) * q**n
     if size + tables > cap:
         raise ValueError(
             f"enumeration cap exceeded: group order {size} and {tables} table entries > cap {cap}"
         )
-    g0 = _smallest_generator(field).index
-    s_index = (q - 1) // len(s_elems)
-    # multiplier taking g0^k to its transversal representative g0^(k mod s_index)
-    canon_scalar = [0] * q
-    a = 1
-    for k in range(q - 1):
-        canon_scalar[a] = field.pow(g0, (k % s_index - k) % (q - 1))
-        a = mul(a, g0)
-    ident = MatElem.identity(field, n).rows
 
     def with_entry(i, j, b):
-        rows = [[b if (r, c) == (i, j) else e for c, e in enumerate(row)] for r, row in enumerate(ident)]
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[i][j] = b
         return MatElem(field, rows)
 
-    # diag(g0, 1, ..., 1) gives every determinant (it is the identity when
-    # q = 2); the transvections 1 + b*E_ij over an F_p-basis b of F_q
-    # generate SL_n(F_q)
-    basis = [field.p**k for k in range(field.m)]
-    gens = [with_entry(0, 0, g0)] if q > 2 else []
-    gens += [with_entry(i, j, b) for i in range(n) for j in range(n) if i != j for b in basis]
+    # diag(g0, 1, ..., 1) gives every determinant (left out when q = 2,
+    # where g0 = 1).  Conjugated by its powers, 1 + E_01 gives 1 + g0^k*E_01, whose
+    # products are every 1 + b*E_01; commutators carry these to every
+    # transvection, and the transvections generate SL_n(F_q)
+    gens = [with_entry(0, 0, _smallest_generator(field).index)] if q > 2 else []
+    for i in range(n - 1):
+        gens += [with_entry(i, i + 1, 1), with_entry(i + 1, i, 1)]
     scalars = tuple(FieldElement(field, s) for s in sorted(s_elems))
-    group = MatGroup(field, n, scalars, gens, canon_scalar)
+    group = MatGroup(field, n, scalars, gens)
     if len(group) != size:
         raise AssertionError(
             f"generators span {len(group)} elements, formula says {size}"
@@ -458,7 +458,8 @@ def build_gl(
 
 class Subgroup:
     """Subset of a MatGroup, verified closed by spanning generators picked
-    greedily from its sorted members."""
+    greedily from its sorted members: each span is walked on the parent's
+    row-code tables, without a matrix product."""
 
     def __init__(self, parent: MatGroup, members):
         members = sorted(set(members), key=lambda m: m.key)

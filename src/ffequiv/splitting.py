@@ -34,7 +34,7 @@ from typing import Union
 
 from . import _Record
 from .exprs import render_tpoly
-from .fields import TABLE_LIMIT, FiniteField, _rebuild_field, extension_field, prime_field
+from .fields import TABLE_LIMIT, FiniteField, _prime_divisors, _rebuild_field, extension_field, prime_field
 from .poly import Poly, _ddf, _derivative, _gcd, _mk, _monic, _random_irreducibles, is_irreducible
 from .twisted import YPoly
 
@@ -240,28 +240,13 @@ def _verdict_at(f: YPoly, g: YPoly, P: Poly, table: _Table | None) -> PrimeVerdi
     return PrimeVerdict(P, rf.split, rg.split, reason)
 
 
-def _mobius(n: int) -> int:
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
-
-
 def irreducible_count(q: int, d: int) -> int:
-    """Number of monic irreducibles of degree d over F_q."""
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _mobius(e) * q ** (d // e)
-    return total // d
+    """Number of monic irreducibles of degree d over F_q, by Moebius
+    inversion: only the squarefree divisors e of d have mu(e) != 0."""
+    terms = [(1, 1)]  # (e, mu(e)) over the squarefree divisors e of d
+    for l in _prime_divisors(d):
+        terms += [(e * l, -mu) for e, mu in terms]
+    return sum(mu * q ** (d // e) for e, mu in terms) // d
 
 
 # Most primes one comparison takes.  Once the root map of its degree is

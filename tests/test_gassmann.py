@@ -260,29 +260,114 @@ def test_cap_counts_the_code_tables():
     assert len(build_gl(2, F3, cap=129)) == 48
 
 
-def test_generators_must_be_elementary_and_closed_under_transpose():
-    # MatGroup steps by column operations and gets its left tables by
-    # transposition, so it refuses generators that allow neither
+def test_generators_must_be_closed_under_transpose():
+    # MatGroup gets its left tables by transposition, so it refuses
+    # generators whose transposes are not among them
     G = build_gl(2, F3)
-    swap = MatElem.from_ints(F3, [[0, 1], [1, 0]])
-    with pytest.raises(ValueError, match="one entry"):
-        MatGroup(F3, 2, G.scalar_subgroup, [*G.gens, swap], G._canon_scalar)
     upper = [G.gens[0], MatElem.from_ints(F3, [[1, 1], [0, 1]])]
     with pytest.raises(ValueError, match="closed under transposition"):
-        MatGroup(F3, 2, G.scalar_subgroup, upper, G._canon_scalar)
+        MatGroup(F3, 2, G.scalar_subgroup, upper)
+
+
+def test_any_generators_closed_under_transpose_give_the_same_group():
+    # a generator that is not 1 + c*E_ij, here a permutation matrix, is
+    # tabled like any other, and the group and its classes do not change
+    swap2 = [[0, 1], [1, 0]]
+    swap3 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    for G, swap in (
+        (build_gl(2, F3), swap2),
+        (build_gl(2, F5, scalar_generator=F5(4)), swap2),
+        (build_gl(3, F2), swap3),
+    ):
+        more = MatGroup(G.field, G.n, G.scalar_subgroup, [*G.gens, MatElem.from_ints(G.field, swap)])
+        assert more.elements == G.elements
+        assert more.conjugacy_classes() == G.conjugacy_classes()
+
+
+def test_gl_is_spanned_by_a_diagonal_matrix_and_neighbour_transvections():
+    F8 = extension_field(2, degree=3)
+    F9 = extension_field(3, [1, 0, 1])
+    cases = [(n, field, None) for field in (F2, F3) for n in (1, 2, 3)]
+    cases += [(n, field, None) for field in (F4, F5, prime_field(7), F8, F9) for n in (1, 2)]
+    cases += [(4, F2, None), (2, F3, F3(2)), (2, F5, F5(4)), (2, F5, F5(2)), (3, F3, F3(2)),
+              (2, F4, F4.gen), (2, F9, F9.gen)]
+    for n, field, s in cases:
+        G = build_gl(n, field, scalar_generator=s)  # checks the order
+        assert len(G.gens) == (field.q > 2) + 2 * (n - 1)
+
+
+def test_trivial_group():
+    G = build_gl(1, F2)
+    ident = MatElem.identity(F2, 1)
+    assert G.gens == () and G.elements == (ident,)
+    assert conjugacy_classes(G) == [(ident, 1)]
+    assert G.span([]) == {ident}
+    assert build_gl(2, F3).span([]) == {MatElem.identity(F3, 2)}
+
+
+def _closure(G, gens):
+    # reference for span: close the identity under right products with G.mul
+    seen = {G.identity}
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = G.mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def test_span_matches_product_closure():
+    rng = random.Random(11)
+    for G in (build_gl(2, F3), build_gl(2, F4), build_gl(3, F2), build_gl(2, F5, scalar_generator=F5(4))):
+        gen_sets = [list(H.gens) for H in stabilizer_pair(G)]
+        gen_sets += [rng.sample(G.elements, k) for k in (1, 1, 2, 2)]
+        for gens in gen_sets:
+            span = G.span(gens)
+            assert span == _closure(G, gens)
+            assert len(G) % len(span) == 0
+
+
+def test_certificates_make_no_matrix_product(monkeypatch):
+    # the group, its subgroups, classes and conjugacy search all run on
+    # row-code and index tables; a matrix product or inverse would raise
+    F7 = prime_field(7)
+    F9 = extension_field(3, [1, 0, 1])
+
+    def triples():
+        H, Hp = example1_subgroups(F7)
+        yield H.parent, H, Hp
+        G = build_gl(3, F2)
+        yield G, *stabilizer_pair(G)
+        G = build_gl(2, F9, scalar_generator=F9.gen)
+        yield G, *stabilizer_pair(G)
+
+    expected = [verify_gassmann(G, H, Hp).render() for G, H, Hp in triples()]
+
+    def refuse(*args):
+        raise AssertionError("matrix product on the certificate path")
+
+    monkeypatch.setattr(MatElem, "mul", refuse)
+    monkeypatch.setattr(MatGroup, "mul", refuse)
+    monkeypatch.setattr(MatGroup, "inv", refuse)
+    certs = [verify_gassmann(G, H, Hp) for G, H, Hp in triples()]
+    assert [c.render() for c in certs] == expected
+    assert all(c.is_gassmann and c.is_nontrivial for c in certs)
 
 
 def test_build_leaves_the_cycle_collector_as_it_found_it():
     # the build runs with the collector off, and a failed build restores it too
     G = build_gl(2, F3)
-    swap = MatElem.from_ints(F3, [[0, 1], [1, 0]])
+    upper = [G.gens[0], MatElem.from_ints(F3, [[1, 1], [0, 1]])]
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
             assert len(build_gl(2, F3)) == 48
             assert gc.isenabled() is enabled
-            with pytest.raises(ValueError, match="one entry"):
-                MatGroup(F3, 2, G.scalar_subgroup, [*G.gens, swap], G._canon_scalar)
+            with pytest.raises(ValueError, match="closed under transposition"):
+                MatGroup(F3, 2, G.scalar_subgroup, upper)
             assert gc.isenabled() is enabled
     finally:
         gc.enable()

@@ -514,6 +514,14 @@ def test_irreducible_count_matches_listing():
             assert irreducible_count(q, d) == len(monic_irreducibles(build, d))
 
 
+def test_irreducible_count_satisfies_gauss_identity():
+    # x^(q^d) - x is the product of the monic irreducibles of degree e | d:
+    # the sum over e | d of e * N(q, e) is q^d, squareful d included
+    for q in (2, 3, 4, 5, 7, 9):
+        for d in range(1, 41):
+            assert sum(e * irreducible_count(q, e) for e in range(1, d + 1) if d % e == 0) == q**d
+
+
 @pytest.mark.parametrize("name", ["gl2_f3_deg8", "gl2_f4_deg15"])
 def test_split_type_agrees_with_full_factorization(name):
     # split types come from squarefree test + DDF; factor also runs EDF
