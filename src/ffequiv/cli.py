@@ -186,7 +186,7 @@ def cmd_gassmann(args) -> int:
 
 
 def _render_prime(P: Poly) -> str:
-    from .exprs import _int_monomials
+    from .fields import _int_monomials
 
     # a coefficient is shown by its element index, its value in a prime field
     return " + ".join(_int_monomials(P.coeffs, "T"))

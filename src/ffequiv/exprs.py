@@ -23,9 +23,8 @@ rejected instead of silently rewritten.
 from __future__ import annotations
 
 import operator
-from typing import Sequence
 
-from .fields import FieldElement, FiniteField, prime_field
+from .fields import FieldElement, FiniteField, _int_monomials, prime_field
 from .poly import Poly
 from .twisted import TORSION_LIMIT, TwistedPoly, YPoly
 
@@ -302,21 +301,6 @@ def parse_element(text: str, field: FiniteField) -> FieldElement:
     ast = _Parser(text).parse()
     env = {"x": field.gen} if field.m > 1 else {}
     return _eval_commutative(ast, field, env, "x_poly")
-
-
-def _int_monomials(coeffs: Sequence[int], var: str) -> list[str]:
-    """Descending monomial strings c*var^e for nonzero integer coefficients."""
-    out = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0:
-            continue
-        if e == 0:
-            out.append(str(c))
-        else:
-            v = var if e == 1 else f"{var}^{e}"
-            out.append(v if c == 1 else f"{c}*{v}")
-    return out
 
 
 def render_tpoly(poly: Poly, var: str = "T") -> str:

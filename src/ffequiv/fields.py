@@ -12,23 +12,23 @@ code work on bare indices.  Each field picks int kernels (``add``, ``sub``,
 ``neg``, ``mul``, ``inv``, ``pow``, ``addmul``: acc[s + j] += c * row[j]
 for a nonzero c, and ``divrem``: the quotient and remainder of a
 coefficient sequence by one no longer whose last entry is nonzero) when it
-is built, by kind:
+is built.  A prime field computes with plain ints mod p.  An extension
+field first builds a table-free ``mul`` and ``pow`` on indices (see
+:func:`_plain_kernels`): a carry-less product of bit patterns in
+characteristic 2, a packed product of spread digits in odd characteristic.
+Its tables, if any, are built from them, by kind:
 
-* a prime field computes with plain ints mod p;
-* an extension field of order at most ``PACKED_LIMIT`` = 256 reads full
-  byte tables: the product row x -> c * x of every c, and in odd
-  characteristic the addition table ADD[a << 8 | b], both built by
-  ``bytes.translate`` (see :func:`_byte_tables`); ``addmul`` is then
-  acc[j] = ADD[acc[j] << 8 | row_c[r]], or acc[j] ^= row_c[r] in
-  characteristic 2;
-* one of order at most ``TABLE_LIMIT`` looks products up in exp/log tables
-  built from its smallest primitive element; it adds indices by XOR in
-  characteristic 2 and through a Zech logarithm table
-  (Z(d) = log(1 + g^d)) in odd characteristic;
-* a larger extension field of characteristic 2 multiplies indices as bit
-  patterns, by shift and XOR, reduced by the bits of M, and inverts them by
-  an extended Euclid on the same bits; one of odd characteristic multiplies
-  unpacked coefficient vectors.
+* up to order ``PACKED_LIMIT`` = 256, full byte tables: the product row
+  x -> c * x of every c, and in odd characteristic the addition table
+  ADD[a << 8 | b], both built by ``bytes.translate`` (see
+  :func:`_byte_tables`); ``addmul`` is then acc[j] = ADD[acc[j] << 8 |
+  row_c[r]], or acc[j] ^= row_c[r] in characteristic 2;
+* up to order ``TABLE_LIMIT``, exp/log tables of the smallest primitive
+  element; indices add by XOR in characteristic 2 and through a Zech
+  logarithm table (Z(d) = log(1 + g^d)) in odd characteristic;
+* above it, none: the table-free kernels serve, an inverse is an extended
+  Euclid on bit patterns in characteristic 2 and the (q - 2)-th power in
+  odd characteristic, where sums add unpacked digits.
 
 ``divrem`` is a loop of ``addmul`` steps, except in characteristic 2 up to
 order ``PACKED_LIMIT``, where it packs one coefficient a byte: the
@@ -112,7 +112,7 @@ class FiniteField:
     digits; they and the int kernels are attributes.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_red", "_hash", "pack", "unpack",
+    __slots__ = ("p", "m", "q", "modulus", "_hash", "pack", "unpack",
                  "add", "sub", "neg", "mul", "inv", "pow", "addmul", "divrem", "__weakref__")
 
     def __init__(self, p: int, modulus: tuple[int, ...] | None):
@@ -120,21 +120,6 @@ class FiniteField:
         self.modulus = modulus
         self.m = 1 if modulus is None else len(modulus) - 1
         self.q = p**self.m
-        # x^(m+k) mod M for k = 0..m-2, as reduction rows
-        if self.m > 1:
-            rows = []
-            row = [(-c) % p for c in modulus[:-1]]
-            rows.append(tuple(row))
-            for _ in range(self.m - 2):
-                shifted = [0] + row[:-1]
-                top = row[-1]
-                if top:
-                    shifted = [(shifted[i] + top * rows[0][i]) % p for i in range(self.m)]
-                row = shifted
-                rows.append(tuple(row))
-            self._red = tuple(rows)
-        else:
-            self._red = ()
         self._hash = hash((p, modulus))
         self.pack, self.unpack = _codec(p, self.m)
         for key, fn in _kernels(self).items():
@@ -219,58 +204,108 @@ def _codec(p: int, m: int):
     return pack, unpack
 
 
-def _vec_mul(p: int, red: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Product of two m-digit coefficient vectors over F_p, reduced by the
-    rows red[k] = x^(m+k) mod M (a field's ``_red``)."""
-    m = len(a)
-    prod = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for k in range(2 * m - 2, m - 1, -1):
-        c = prod[k] % p
-        if c:
-            row = red[k - m]
-            for t in range(m):
-                prod[t] += c * row[t]
-    return tuple(v % p for v in prod[:m])
+def _plain_kernels(p: int, modulus: tuple[int, ...]) -> tuple:
+    """The table-free ``mul`` and ``pow`` of F_p[x]/(M) on indices, M of
+    degree m >= 2; the tables of a small field are built from them.
 
+    In characteristic 2 an index is the bit pattern of its residue, and
+    ``mul`` is a carry-less product reduced by the bits of M.  For odd p it
+    is a packed product (Kronecker substitution): the base-p digits of each
+    index are spread w bits apart, so one integer product holds every
+    coefficient of the product polynomial in its own slot; the slot of
+    x^(m+k) is read mod p and folded into the low m slots by x^(m+k) mod M,
+    and the low slots, read mod p, are the digits of the result.
+    """
+    m = len(modulus) - 1
+    if p == 2:
+        top = 1 << m
+        bits = sum(c << i for i, c in enumerate(modulus))
 
-def _vec_pow(p: int, red: Sequence[Sequence[int]], a: Sequence[int], e: int) -> tuple[int, ...]:
-    """a^e (e >= 0) of a coefficient vector, by square-and-multiply."""
-    result = (1,) + (0,) * (len(a) - 1)
-    while e:
-        if e & 1:
-            result = _vec_mul(p, red, result, a)
-        a = _vec_mul(p, red, a, a)
-        e >>= 1
-    return result
+        def mul(a, b):
+            # XOR a shifted copy of a per set bit of b, then clear the bits
+            # from x^(2m-2) down to x^m with shifted M
+            r = 0
+            while b:
+                low = b & -b
+                r ^= a * low
+                b ^= low
+            while r >= top:
+                r ^= bits << (r.bit_length() - 1 - m)
+            return r
 
-
-def _smallest_generator(field: FiniteField) -> FieldElement:
-    """The primitive element of least index: the first g with
-    g^((q-1)/l) != 1 for every prime l dividing q - 1."""
-    p, q = field.p, field.q
-    cofactors = [(q - 1) // l for l in _prime_divisors(q - 1)]
-    if field.m == 1:
-        for i in range(1, q):
-            if all(pow(i, e, p) != 1 for e in cofactors):
-                return field.from_index(i)
     else:
-        one = field.unpack(1)
-        # the constants 1..p-1 have order below q - 1
-        for i in range(p, q):
-            g = field.unpack(i)
-            if all(_vec_pow(p, field._red, g, e) != one for e in cofactors):
-                return FieldElement(field, i)
+        # a low slot holds at most m(p-1)^2 from the product and less than
+        # m(p-1)^2 from the folds, so w bits never carry into the next one
+        w = (2 * m * (p - 1) ** 2).bit_length()
+        mask = (1 << w) - 1
+        # (shift of the slot of x^(m+k), x^(m+k) mod M spread) for k = 0..m-2
+        folds = []
+        xm = row = [-c % p for c in modulus[:-1]]
+        for k in range(m - 1):
+            folds.append((w * (m + k), sum(c << w * i for i, c in enumerate(row))))
+            row = [(r + row[-1] * c) % p for r, c in zip([0] + row[:-1], xm)]
+        # spread[v]: the digits of v < p^per spread w bits apart; spreading
+        # one digit at a time made products about twice as slow, and chunk
+        # tables of 256 to 32768 entries measured alike
+        per = 1
+        while per < m and p ** (per + 1) <= 4096:
+            per += 1
+        base, step = p**per, w * per
+        spread = range(p)  # one digit spreads to itself
+        for k in range(1, per):
+            spread = [s | d << w * k for d in range(p) for s in spread]
+        shifts = range(w * (m - 1), -1, -w)
+
+        def mul(a, b):
+            prod = 1
+            for v in (a, b):
+                s = shift = 0
+                while v:
+                    v, d = divmod(v, base)
+                    s |= spread[d] << shift
+                    shift += step
+                prod *= s
+            for k, r in folds:
+                c = (prod >> k & mask) % p
+                if c:
+                    prod += c * r
+            idx = 0
+            for k in shifts:
+                idx = idx * p + (prod >> k & mask) % p
+            return idx
+
+    def power(a, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            e >>= 1
+        return r
+
+    return mul, power
+
+
+def _least_primitive(p: int, q: int, power) -> int:
+    """The index of the primitive element of least index: the first g with
+    power(g, (q-1)/l) != 1 for every prime l dividing q - 1."""
+    cofactors = [(q - 1) // l for l in _prime_divisors(q - 1)]
+    # above F_p the constants 1..p-1 have order below q - 1
+    for g in range(1 if q == p else p, q):
+        if all(power(g, e) != 1 for e in cofactors):
+            return g
     raise AssertionError("multiplicative group has no generator")  # unreachable
 
 
-def _exp_log(field: FiniteField) -> tuple[array, array]:
+def _smallest_generator(field: FiniteField) -> FieldElement:
+    """The primitive element of least index."""
+    return FieldElement(field, _least_primitive(field.p, field.q, field.pow))
+
+
+def _exp_log(field: FiniteField, mul, g: int) -> tuple[array, array]:
     """exp[k] = g^k for 0 <= k < 2(q-1), so a sum of two logs needs no
-    reduction, and log[g^k] = k (log[0] is unused), g the smallest
-    primitive element.
+    reduction, and log[g^k] = k (log[0] is unused), for the primitive
+    element of index g and the table-free product ``mul``.
 
     Multiplying by g is F_p-linear, so the image of an index is the
     digitwise sum of the images of its low h digits and of its high m - h
@@ -281,32 +316,14 @@ def _exp_log(field: FiniteField) -> tuple[array, array]:
     """
     p, m, q = field.p, field.m, field.q
     n = q - 1
-    g = field.unpack(_smallest_generator(field).index)
-    cols = [g]  # g * x^i
-    x = field.unpack(p)
-    for _ in range(m - 1):
-        cols.append(_vec_mul(p, field._red, cols[-1], x))
     h = m // 2
     ph = p**h
-
-    def images(part, count):
-        out = []
-        for v in range(count):
-            acc = [0] * m
-            for col in part:
-                v, d = divmod(v, p)
-                if d:
-                    acc = [(a + d * c) % p for a, c in zip(acc, col)]
-            out.append(acc)
-        return out
-
-    low, high = images(cols[:h], ph), images(cols[h:], q // ph)
+    low = [mul(g, v) for v in range(ph)]
+    high = [mul(g, v * ph) for v in range(q // ph)]
     exp = array("I", [0]) * (2 * n)
     log = array("I", [0]) * q
     idx = 1
     if p == 2:
-        low = [field.pack(v) for v in low]
-        high = [field.pack(v) for v in high]
         for e in range(n):
             exp[e] = idx
             log[idx] = e
@@ -314,17 +331,17 @@ def _exp_log(field: FiniteField) -> tuple[array, array]:
     else:
         k = p.bit_length() + 1
 
-        def spread(digits):
-            return sum(c << (k * i) for i, c in enumerate(digits))
+        def spread(v):
+            return sum(c << (k * i) for i, c in enumerate(field.unpack(v)))
 
         low = [spread(v) for v in low]
         high = [spread(v) for v in high]
-        top = spread([1 << (k - 1)] * m)
-        bias = spread([(1 << (k - 1)) - p] * m)
+        top = sum((1 << (k - 1)) << (k * i) for i in range(m))
+        bias = top - sum(p << (k * i) for i in range(m))
         kh = k * h
         lmask = (1 << kh) - 1
-        lfrom = {spread(field.unpack(v)[:h]): v for v in range(ph)}
-        hfrom = {spread(field.unpack(v * ph)[h:]): v for v in range(q // ph)}
+        lfrom = {spread(v): v for v in range(ph)}
+        hfrom = {spread(v * ph) >> kh: v for v in range(q // ph)}
         for e in range(n):
             exp[e] = idx
             log[idx] = e
@@ -336,14 +353,15 @@ def _exp_log(field: FiniteField) -> tuple[array, array]:
     return exp, log
 
 
-def _byte_tables(field: FiniteField) -> tuple[list[bytes], bytes | None, list[int], list[int]]:
+def _byte_tables(field: FiniteField, mul, g: int) -> tuple[list[bytes], bytes | None, list[int], list[int]]:
     """For order q <= PACKED_LIMIT: the product rows rows[c][x] = c * x (256
     bytes each), the addition table ADD[a << 8 | b] = a + b (None in
     characteristic 2), and exp[k] = g^k, log[g^k] = k (k < q - 1) for the
-    smallest primitive element g.  Each row is a translation of another:
-    the row of a is the row of a - p^k translated by "add 1 to digit k",
-    for the lowest nonzero digit k of a; the row of g^k is the row of
-    g^(k-1) translated by the row of g, which is F_p-linear in x."""
+    primitive element of index g, from the table-free product ``mul``.  Each
+    row is a translation of another: the row of a is the row of a - p^k
+    translated by "add 1 to digit k", for the lowest nonzero digit k of a;
+    the row of g^k is the row of g^(k-1) translated by the row of g, which
+    is F_p-linear in x."""
     p, m, q = field.p, field.m, field.q
     ident = bytes(range(256))
     low = [0] + [p ** next(k for k in range(m) if a // p**k % p) for a in range(1, q)]
@@ -355,8 +373,7 @@ def _byte_tables(field: FiniteField) -> tuple[list[bytes], bytes | None, list[in
         for a in range(1, q):
             add_rows.append(add_rows[a - low[a]].translate(shift[low[a]]))
         table = b"".join(add_rows)
-    g = field.unpack(_smallest_generator(field).index)
-    image = {s: field.pack(_vec_mul(p, field._red, g, field.unpack(s))) for s in set(low[1:])}
+    image = {s: mul(g, s) for s in set(low[1:])}
     grow = bytearray(256)
     for a in range(1, q):
         b, c = grow[a - low[a]], image[low[a]]
@@ -374,13 +391,19 @@ def _kernels(field: FiniteField) -> dict:
     """The int kernels of the field (see the module docstring)."""
     p, m, q = field.p, field.m, field.q
     rows = None  # the product rows of a field of order <= PACKED_LIMIT
+    if m > 1:
+        # every extension field starts from its table-free kernels
+        mul, power = _plain_kernels(p, field.modulus)
+        if p == 2:
+            add = operator.xor
+
+            def neg(a):
+                return a
+
     if m == 1:
 
         def add(a, b):
             return (a + b) % p
-
-        def sub(a, b):
-            return (a - b) % p
 
         def neg(a):
             return -a % p
@@ -404,14 +427,15 @@ def _kernels(field: FiniteField) -> dict:
 
     elif q <= TABLE_LIMIT:
         n = q - 1
+        g = _least_primitive(p, q, power)
         if q <= PACKED_LIMIT:
-            rows, table, exp, log = _byte_tables(field)
+            rows, table, exp, log = _byte_tables(field, mul, g)
 
             def mul(a, b):
                 return rows[a][b]
 
         else:
-            exp, log = _exp_log(field)
+            exp, log = _exp_log(field, mul, g)
 
             def mul(a, b):
                 return exp[log[a] + log[b]] if a and b else 0
@@ -425,11 +449,6 @@ def _kernels(field: FiniteField) -> dict:
             return exp[log[a] * e % n]
 
         if p == 2:
-            add = sub = operator.xor
-
-            def neg(a):
-                return a
-
             if rows is not None:
 
                 def addmul(acc, c, row, s):
@@ -454,9 +473,6 @@ def _kernels(field: FiniteField) -> dict:
             def neg(a):
                 return minus[a]
 
-            def sub(a, b):
-                return table[a << 8 | minus[b]]
-
             def addmul(acc, c, row, s):
                 mc = rows[c]
                 for j, r in enumerate(row, s):
@@ -479,9 +495,6 @@ def _kernels(field: FiniteField) -> dict:
             def neg(a):
                 return exp[log[a] + half] if a else 0
 
-            def sub(a, b):
-                return add(a, exp[log[b] + half]) if b else a
-
             def addmul(acc, c, row, s):
                 lc = log[c]
                 for j, r in enumerate(row, s):
@@ -496,36 +509,10 @@ def _kernels(field: FiniteField) -> dict:
                             acc[j] = exp[t]
 
     else:
-        # the closures hold ints, the reduction rows and the codec, never
-        # the field itself, which they would keep alive in a reference cycle
+        # the closures hold ints and the codec, never the field itself,
+        # which they would keep alive in a reference cycle
         if p == 2:
-            add = sub = operator.xor
-            top = 1 << m
             modulus = field.pack(field.modulus)
-
-            def neg(a):
-                return a
-
-            def mul(a, b):
-                # carry-less: XOR a shifted copy of a per set bit of b, then
-                # clear the bits from x^(2m-2) down to x^m with shifted M
-                r = 0
-                while b:
-                    low = b & -b
-                    r ^= a * low
-                    b ^= low
-                while r >= top:
-                    r ^= modulus << (r.bit_length() - 1 - m)
-                return r
-
-            def power(a, e):
-                r = 1
-                while e:
-                    if e & 1:
-                        r = mul(r, a)
-                    a = mul(a, a)
-                    e >>= 1
-                return r
 
             def inv(a):
                 # extended Euclid on bit patterns, keeping s*a = u and t*a = v
@@ -542,22 +529,10 @@ def _kernels(field: FiniteField) -> dict:
                 return s
 
         else:
-            red = field._red
             pack, unpack = field.pack, field.unpack
-
-            def mul(a, b):
-                if not a or not b:
-                    return 0
-                return pack(_vec_mul(p, red, unpack(a), unpack(b)))
-
-            def power(a, e):
-                return pack(_vec_pow(p, red, unpack(a), e))
 
             def add(a, b):
                 return pack([(x + y) % p for x, y in zip(unpack(a), unpack(b))])
-
-            def sub(a, b):
-                return pack([(x - y) % p for x, y in zip(unpack(a), unpack(b))])
 
             def neg(a):
                 return pack([-x % p for x in unpack(a)])
@@ -569,6 +544,13 @@ def _kernels(field: FiniteField) -> dict:
             for j, r in enumerate(row, s):
                 if r:
                     acc[j] = add(acc[j], mul(c, r))
+
+    if p == 2:
+        sub = add
+    else:
+
+        def sub(a, b):
+            return add(a, neg(b))
 
     if rows is not None and p == 2:
         divrem = _packed_divrem(rows, inv)
@@ -694,6 +676,21 @@ def extension_field(p: int, modulus: Sequence[int] | None = None, degree: int | 
     return _rebuild_field(p, mod)
 
 
+def _int_monomials(coeffs: Sequence[int], var: str) -> list[str]:
+    """Descending monomial strings c*var^e for nonzero integer coefficients."""
+    out = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c == 0:
+            continue
+        if e == 0:
+            out.append(str(c))
+        else:
+            v = var if e == 1 else f"{var}^{e}"
+            out.append(v if c == 1 else f"{c}*{v}")
+    return out
+
+
 class FieldElement:
     """An element of a FiniteField, held as its index; every operator is
     one call to a kernel of the field."""
@@ -774,21 +771,7 @@ class FieldElement:
         return self * other.inverse()
 
     def __str__(self):
-        if self.field.m == 1:
-            return str(self.index)
-        coeffs = self.coeffs
-        parts = []
-        for i in range(self.field.m - 1, -1, -1):
-            c = coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("x" if c == 1 else f"{c}*x")
-            else:
-                parts.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
-        return "+".join(parts) if parts else "0"
+        return "+".join(_int_monomials(self.coeffs, "x")) or "0"
 
     def __repr__(self):
         return f"{self.field!r}({self})"

@@ -252,8 +252,16 @@ def irreducible_count(q: int, d: int) -> int:
 # Most primes one comparison takes.  Once the root map of its degree is
 # built, a prime whose field has tables takes 2.5 ms (3^10) to 4.4 ms (2^16),
 # under a minute for all of them.  A sampled prime of a degree above the
-# tables takes about 150 ms over F_3 (3^11 to 3^13), about 25 minutes in all.
+# tables takes about 30 ms over F_3 (3^11 to 3^13, its draw included),
+# about 5 minutes in all.
 PRIME_COUNT_LIMIT = 10_000
+# Most work one sample takes, in units of count * degree^3.  A sampled prime
+# costs its draw, Rabin's test on about d candidates, and its verdict, and
+# from degree 32 on that grows about as d^3: over F_3 and F_5, 5 to 11 us
+# times d^3 a prime (0.2 to 0.4 s at degree 32, 1.5 to 2 s at 64, 15 s at
+# 128).  The limit is 100 primes of degree 64, 3 to 5 minutes; up to degree
+# 13 PRIME_COUNT_LIMIT binds first.
+SAMPLED_WORK_LIMIT = 100 * 64**3
 
 def _select_primes(field: FiniteField, selection: PrimeSelection,
                    seed: int) -> tuple[list[Poly], dict[int, _Table]]:
@@ -281,6 +289,12 @@ def _select_primes(field: FiniteField, selection: PrimeSelection,
             raise ValueError("empty prime selection")
         if selection.degree < 1:
             raise ValueError("prime degree must be positive")
+        work = selection.count * selection.degree**3
+        if work > SAMPLED_WORK_LIMIT:
+            raise ValueError(
+                f"{selection.count} sampled primes of degree {selection.degree} are above the "
+                f"work limit of one comparison (count * degree^3 = {work} > {SAMPLED_WORK_LIMIT})"
+            )
         available = irreducible_count(field.q, selection.degree)
         if selection.count > available:
             raise ValueError(

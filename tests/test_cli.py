@@ -235,6 +235,31 @@ def test_split_check_prime_count_cap(capsys, monkeypatch):
     )
 
 
+def test_split_check_sampled_work_cap(capsys, monkeypatch):
+    # a degree-999 prime, or 10 000 of degree 64, would take hours: refused
+    # before any draw
+    def refuse(*args):
+        raise AssertionError("drawing started")
+
+    monkeypatch.setattr(splitting, "_random_irreducibles", refuse)
+    limit = splitting.SAMPLED_WORK_LIMIT
+    for count, degree in ((3, 999), (10_000, 64), (101, 64)):
+        rc, out, err = run(capsys, ["split-check", "--pair", "gl2_f3_deg8", "--samples",
+                                    str(count), "--degree", str(degree)])
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            f"error: {count} sampled primes of degree {degree} are above the work limit of "
+            f"one comparison (count * degree^3 = {count * degree**3} > {limit})\n"
+        )
+    # the limit itself is admitted, and 3 primes of degree 40
+    assert limit == 100 * 64**3
+    for count, degree in ((100, 64), (3, 40)):
+        with pytest.raises(AssertionError, match="drawing started"):
+            main(["split-check", "--pair", "gl2_f3_deg8", "--samples", str(count),
+                  "--degree", str(degree)])
+
+
 def test_split_check_unknown_pair(capsys):
     rc, _, err = run(capsys, ["split-check", "--pair", "nope", "--max-degree", "1"])
     assert rc == 2

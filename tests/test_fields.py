@@ -11,13 +11,13 @@ from ffequiv.fields import (
     TABLE_LIMIT,
     _FIELD_CACHE,
     FiniteField,
+    _plain_kernels,
     _smallest_generator,
-    _vec_mul,
-    _vec_pow,
     extension_field,
     is_prime,
     prime_field,
 )
+from ffequiv.poly import _pow_mod, _trim
 
 
 def sample_fields():
@@ -278,8 +278,10 @@ def test_is_prime_refuses_above_limit():
 
 def _kernel_fields():
     """Fields of each kernel kind: prime, full byte tables up to order 256,
-    XOR and Zech exp/log tables above it, and carry-less products in
-    characteristic 2 above the table limit."""
+    XOR and Zech exp/log tables above it, and above the table limit
+    carry-less products in characteristic 2 and packed products in odd
+    characteristic, with the widest slots of the packed product at a large p
+    (F_{10007^2}) and at a large m (F_{3^40})."""
     return {
         "prime": [prime_field(7), prime_field(10007)],
         "byte": [extension_field(p, degree=m)
@@ -287,6 +289,8 @@ def _kernel_fields():
         "xor": [extension_field(2, degree=m) for m in (10, 12)],
         "zech": [extension_field(3, degree=7), extension_field(5, degree=4)],
         "clmul": [extension_field(2, degree=17), extension_field(2, degree=20)],
+        "kronecker": [extension_field(p, degree=m)
+                      for p, m in ((3, 11), (5, 7), (7, 6), (10007, 2), (3, 40))],
     }
 
 
@@ -299,21 +303,27 @@ def test_kernel_kinds_follow_table_limit():
 
 
 def vector_route(field):
-    """Reference arithmetic on indices, independent of the kernels: digitwise
-    sums and differences mod p, and _vec_mul/_vec_pow on unpacked digits."""
-    p, red, pack, unpack = field.p, field._red, field.pack, field.unpack
+    """Reference arithmetic on indices, independent of the extension kernels:
+    digitwise sums and differences mod p, the schoolbook product, and powers
+    by the prime field's list core on digit vectors mod M."""
+    p, pack, unpack = field.p, field.pack, field.unpack
+    Fp, M = prime_field(p), list(field.modulus or (0, 1))
+
+    def power(a, e):
+        return pack(_pow_mod(Fp, _trim(list(unpack(a))), e, M))
+
     return {
         "add": lambda a, b: pack([(x + y) % p for x, y in zip(unpack(a), unpack(b))]),
         "sub": lambda a, b: pack([(x - y) % p for x, y in zip(unpack(a), unpack(b))]),
         "neg": lambda a: pack([-x % p for x in unpack(a)]),
-        "mul": lambda a, b: pack(_vec_mul(p, red, unpack(a), unpack(b))),
-        "pow": lambda a, e: pack(_vec_pow(p, red, unpack(a), e)),
+        "mul": lambda a, b: _schoolbook_mul(field, a, b),
+        "pow": power,
     }
 
 
 def test_int_kernels_match_vector_arithmetic():
     rng = random.Random(20261018)
-    for fields in _kernel_fields().values():
+    for kind, fields in _kernel_fields().items():
         for field in fields:
             ref = vector_route(field)
             add, mul = ref["add"], ref["mul"]
@@ -321,7 +331,10 @@ def test_int_kernels_match_vector_arithmetic():
             if q <= 64:
                 pairs = [(a, b) for a in range(q) for b in range(q)]
             else:
-                pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+                # a few hundred on the packed fields: the reference powers
+                # are slow in F_{3^40}
+                count = 300 if kind == "kronecker" else 2000
+                pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(count)]
             for a, b in pairs:
                 assert field.add(a, b) == add(a, b), (field, a, b)
                 assert field.sub(a, b) == ref["sub"](a, b), (field, a, b)
@@ -353,9 +366,26 @@ def _schoolbook_mul(field, a, b):
     return field.pack(prod[:m])
 
 
+def test_plain_kernels_match_schoolbook():
+    # the table-free kernels every table is built from, on tabled fields
+    # too; a slot of the packed product must hold (2m - 1)(p - 1)^2, which
+    # only 99 * 99 reaches in F_125 and (q - 1)^2 in F_{3^7}
+    for p, m in ((2, 5), (7, 2), (5, 3), (3, 7)):
+        field = extension_field(p, degree=m)
+        mul, power = _plain_kernels(p, field.modulus)
+        q = field.q
+        rows = range(q) if q <= 125 else [q - 1]
+        for a in rows:
+            for b in range(q):
+                assert mul(a, b) == _schoolbook_mul(field, a, b), (field, a, b)
+        for a in range(q):
+            for e in (0, 1, q - 2, 2 * q + 1):
+                assert power(a, e) == field.pow(a, e), (field, a, e)
+
+
 def test_odd_kernels_above_table_limit():
-    # odd characteristic above the table limit: the kernels work on unpacked
-    # digit vectors; the reference here is written out digit by digit
+    # odd characteristic above the table limit: the product is packed, and
+    # sums unpack digits; the reference here is written out digit by digit
     rng = random.Random(311)
     for p, m in ((3, 11), (5, 7), (7, 6)):
         field = extension_field(p, degree=m)
@@ -417,7 +447,7 @@ def test_fields_freed_by_refcount():
         "bytes": (3, CANONICAL_MODULI[(3, 5)]),
         "packed": (2, CANONICAL_MODULI[(2, 8)]),
         "clmul": (2, extension_field(2, degree=17).modulus),
-        "vector": (3, extension_field(3, degree=11).modulus),
+        "kronecker": (3, extension_field(3, degree=11).modulus),
     }
     gc.collect()
     gc.disable()

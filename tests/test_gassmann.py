@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ffequiv.fields import _vec_mul, extension_field, prime_field
+from ffequiv.fields import extension_field, prime_field
 from ffequiv.gassmann import (
     MatElem,
     MatGroup,
@@ -16,6 +16,7 @@ from ffequiv.gassmann import (
     stabilizer_pair,
     verify_gassmann,
 )
+from ffequiv.poly import _mul, _rem, _trim
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -127,12 +128,13 @@ def test_matelem_basics(gl2_f3):
 
 
 def _vector_route(f):
-    # reference arithmetic on indices: _vec_mul on unpacked digits, and
-    # digitwise sums mod p
+    # reference arithmetic on indices: products by the prime field's list
+    # core on unpacked digits mod M, and digitwise sums mod p
     p = f.p
+    Fp, M = prime_field(p), list(f.modulus)
 
     def mul(a, b):
-        return f.pack(_vec_mul(p, f._red, f.unpack(a), f.unpack(b)))
+        return f.pack(_rem(Fp, _mul(Fp, _trim(list(f.unpack(a))), _trim(list(f.unpack(b)))), M))
 
     def add(a, b):
         return f.pack([(x + y) % p for x, y in zip(f.unpack(a), f.unpack(b))])
@@ -141,7 +143,7 @@ def _vector_route(f):
 
 
 def _product_by_vectors(a, b):
-    # reference for MatElem.mul: each entry a sum of _vec_mul products
+    # reference for MatElem.mul: each entry a sum of list-core products
     mul, add = _vector_route(a.field)
     n = a.n
     out = []

@@ -130,7 +130,7 @@ def _names(*modules):
         (
             ["primes", "--p", "3", "--degree", "2"],
             0,
-            _names("cli", "exprs", "fields", "poly", "twisted"),
+            _names("cli", "fields", "poly"),
         ),
         (["gassmann", "--p", "2"], 2, _names("cli")),
     ],

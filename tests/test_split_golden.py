@@ -3,8 +3,10 @@
 Each file under golden/split/ is the stdout of the command next to it.  The
 first three were recorded while every residue field was still built for its
 own prime, the next three while a prime off the orbit route was still
-reduced by polynomial remainders, and f5_deg3 while Frobenius was still
-square-and-multiply; each route must leave every report as it is.
+reduced by polynomial remainders, f5_deg3 while Frobenius was still
+square-and-multiply, and f5_s2_d8 while odd residue fields above the tables
+still multiplied unpacked digit vectors; each route must leave every report
+as it is.
 """
 
 from pathlib import Path
@@ -27,6 +29,8 @@ CASES = [
     ("f4_s4_d17", 0, "--pair gl2_f4_deg15 --samples 4 --degree 17"),
     # p = 5: the p-th power map and the odd byte tables of F_25 and F_125
     ("f5_deg3", 0, f"--pair {GOLDEN / 'gl2_f5_deg24.pair'} --max-degree 3"),
+    # p = 5 above fields.TABLE_LIMIT: residue fields of order 5^8
+    ("f5_s2_d8", 0, f"--pair {GOLDEN / 'gl2_f5_deg24.pair'} --samples 2 --degree 8"),
 ]
 
 
