@@ -86,7 +86,7 @@ def _modulus(args) -> list[int] | None:
 
 
 def _field_for(p: int, modulus: list[int] | None) -> FiniteField:
-    """F_p, or F_p[x]/(modulus) once Rabin's test accepts the modulus."""
+    """F_p, or F_p[x]/(modulus) once Ben-Or's test accepts the modulus."""
     if modulus is not None:
         from .fields import extension_field
 
@@ -200,7 +200,7 @@ def cmd_primes(args) -> int:
     modulus = _modulus(args)
     if modulus is not None:
         # the sieve's bound on (p^m)^degree candidates, checked before
-        # Rabin's test of the modulus; at e >= 25 digits p^e > 2^24
+        # Ben-Or's test of the modulus; at e >= 25 digits p^e > 2^24
         m = len(modulus) - 1
         e = m * args.degree
         if e >= SIEVE_LIMIT.bit_length() or args.p**e > SIEVE_LIMIT:

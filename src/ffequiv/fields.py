@@ -631,7 +631,7 @@ def prime_field(p: int) -> FiniteField:
 
 
 def _is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
-    """Rabin's test on the integer coefficients (low degree first) of a
+    """Ben-Or's test on the integer coefficients (low degree first) of a
     monic polynomial over F_p."""
     from .poly import Poly, is_irreducible  # poly imports this module
 
@@ -653,7 +653,7 @@ def extension_field(p: int, modulus: Sequence[int] | None = None, degree: int | 
     """F_{p^m} as F_p[x]/(M(x)).
 
     Either supply ``modulus`` (coefficients low degree first, monic, irreducible
-    over F_p, checked by Rabin's test) or a ``degree`` m >= 2, in which case
+    over F_p, checked by Ben-Or's test) or a ``degree`` m >= 2, in which case
     the modulus is the one :func:`_smallest_irreducible` picks.
     """
     if not is_prime(p):

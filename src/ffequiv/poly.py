@@ -1,6 +1,6 @@
 """Univariate polynomial arithmetic over a finite field.
 
-Covers ring operations, gcd, irreducibility testing (Rabin), complete
+Covers ring operations, gcd, irreducibility testing (Ben-Or), complete
 factorization (squarefree / distinct-degree / equal-degree), and enumeration
 of monic irreducibles.  Instantiated over F_q with the variable read as T,
 this ring is A = F_q[T]; instantiated over a residue field with variable y it
@@ -33,7 +33,7 @@ from array import array
 from typing import Container, Generator, Iterable, Iterator, Sequence
 
 from . import _Record
-from .fields import FieldElement, FiniteField, _codec, _prime_divisors
+from .fields import FieldElement, FiniteField, _codec
 
 
 class _Dense:
@@ -472,9 +472,9 @@ def _pth_rows(K: FiniteField, f: list[int]) -> list[list[int]]:
     return rows
 
 
-def _frobenius_powers(K: FiniteField, f: list[int], per: int = 1) -> Generator[list[int], list[int] | None, None]:
+def _frobenius_powers(K: FiniteField, f: list[int]) -> Generator[list[int], list[int] | None, None]:
     """y^q, y^(q^2), ... mod the monic f, for a caller that takes at most
-    deg f // per of them; it may ``send`` a monic divisor of f in place of
+    deg f // 2 of them; it may ``send`` a monic divisor of f in place of
     calling ``next``, and that power and all later ones are then mod it.
 
     A step h -> h^q is m = log_p q steps of the p-th power map
@@ -513,7 +513,7 @@ def _frobenius_powers(K: FiniteField, f: list[int], per: int = 1) -> Generator[l
             elif pth is not None:
                 pth = [_rem(K, r, f) for r in pth[:n]]
         n = len(f) - 1
-        if rows is None and spent >= n - 2 and (n // per - taken) * (cost - 0.5) > n - 2:
+        if rows is None and spent >= n - 2 and (n // 2 - taken) * (cost - 0.5) > n - 2:
             rows = [[1], yq]
             for _ in range(n - 2):
                 rows.append(_rem(K, _mul(K, rows[-1], yq), f))
@@ -525,21 +525,21 @@ def _frobenius_powers(K: FiniteField, f: list[int], per: int = 1) -> Generator[l
         taken += 1
 
 
-def _ddf(K: FiniteField, f: list[int]) -> list[tuple[int, list[int]]]:
-    """f monic squarefree -> [(d, product of its degree-d factors)]."""
-    powers = _frobenius_powers(K, f, 2)  # degrees up to deg f / 2
+def _ddf(K: FiniteField, f: list[int]) -> Iterator[tuple[int, list[int]]]:
+    """f monic squarefree -> (d, product of its degree-d factors), ascending
+    d.  For any monic f the first d is the least degree of a factor, as
+    y^(q^d) - y is the product of the monic irreducibles of degree | d."""
+    powers = _frobenius_powers(K, f)  # degrees up to deg f / 2
     rest = None  # what is left of f, once a factor is split off
-    out = []
     d = 0
     while len(f) > 2 * (d + 1):
         d += 1
         g = _gcd(K, f, _minus_x(K, powers.send(rest)))
         if len(g) > 1:
-            out.append((d, g))
+            yield d, g
             f = rest = K.divrem(f, g)[0]
     if len(f) > 1:
-        out.append((len(f) - 1, f))
-    return out
+        yield len(f) - 1, f
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -560,20 +560,13 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: f | x^{q^n} - x and gcd(x^{q^{n/l}} - x, f) = 1 for
-    every prime l dividing n."""
+    """Ben-Or's test, the first step of ``_ddf``: a reducible f is rejected
+    at the least degree of its factors, which is at most n / 2."""
     n = f.degree
     if n < 1:
         raise ValueError("irreducibility is undefined for constants")
-    if n == 1:
-        return True
     K = f.field
-    cs = _monic(K, list(f.coeffs))
-    need = {n // l for l in _prime_divisors(n)}
-    for i, h in enumerate(itertools.islice(_frobenius_powers(K, cs), n), 1):
-        if i in need and len(_gcd(K, cs, _minus_x(K, h))) != 1:
-            return False
-    return h == [0, 1]
+    return next(_ddf(K, _monic(K, list(f.coeffs))))[0] == n
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +741,7 @@ def monic_irreducibles(field: FiniteField, d: int) -> list[Poly]:
 def _random_irreducibles(field: FiniteField, d: int, rng: random.Random,
                          known: Container | None = None) -> Iterator[Poly]:
     """Distinct monic irreducibles of degree d, drawn from rng by rejection;
-    a candidate already yielded is rejected before Rabin's test.  known, if
+    a candidate already yielded is rejected before Ben-Or's test.  known, if
     given, holds the coefficient tuples of every monic irreducible of degree
     d, and membership there replaces the test; the draws are the same."""
     q = field.q

@@ -18,7 +18,7 @@ with the class of T as its root, and is freed when the prime is done.
 
 Evaluation is Horner's rule on indices of K, with one product for each run
 of zero coefficients.  A sampled selection with a table accepts a random
-candidate by looking it up in the table, not by Rabin's test.
+candidate by looking it up in the table, not by Ben-Or's test.
 
 A Good reduction is squarefree, so its splitting type follows from
 distinct-degree factorization alone, run on coefficient lists by the list
@@ -256,11 +256,12 @@ def irreducible_count(q: int, d: int) -> int:
 # about 5 minutes in all.
 PRIME_COUNT_LIMIT = 10_000
 # Most work one sample takes, in units of count * degree^3.  A sampled prime
-# costs its draw, Rabin's test on about d candidates, and its verdict, and
-# from degree 32 on that grows about as d^3: over F_3 and F_5, 5 to 11 us
-# times d^3 a prime (0.2 to 0.4 s at degree 32, 1.5 to 2 s at 64, 15 s at
-# 128).  The limit is 100 primes of degree 64, 3 to 5 minutes; up to degree
-# 13 PRIME_COUNT_LIMIT binds first.
+# costs its draw, Ben-Or's test on about d candidates (a reducible one is
+# rejected at the least degree of its factors, the prime after d/2 gcds),
+# and its verdict, and from degree 32 on that grows about as d^3: over F_3
+# and F_5, 2 to 8 us times d^3 a prime (0.13 to 0.26 s at degree 32, 0.55
+# to 1 s at 64, 3 s at 128 over F_3).  The limit is 100 primes of degree
+# 64, 1 to 2 minutes; up to degree 13 PRIME_COUNT_LIMIT binds first.
 SAMPLED_WORK_LIMIT = 100 * 64**3
 
 def _select_primes(field: FiniteField, selection: PrimeSelection,

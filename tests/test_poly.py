@@ -27,7 +27,7 @@ F2_17 = extension_field(2, degree=17)  # too large for tables: vector kernels
 F25 = extension_field(5, degree=2)
 F49 = extension_field(7, degree=2)
 F125 = extension_field(5, degree=3)
-F3_7 = extension_field(3, degree=7)  # Zech tables; Rabin's test switches to q-linear rows
+F3_7 = extension_field(3, degree=7)  # Zech tables; seven p-th power steps per Frobenius step
 F3_11 = extension_field(3, degree=11)  # vector kernels; the DDF switches to q-linear rows
 F10007 = prime_field(10007)  # p > 2n: the p-th power rows are products with y^p
 
@@ -187,9 +187,10 @@ def test_is_irreducible_examples():
     assert not is_irreducible(P(F2, 1, 0, 1))                # (T+1)^2
     with pytest.raises(ValueError):
         is_irreducible(Poly.one(F3))
-    # Rabin against the sieve on every monic polynomial of degree 8 over F_2
-    # and 6 over F_3: both the pow_mod and the matrix Frobenius steps run
-    for field, d in ((F2, 8), (F3, 6)):
+    # the test against the sieve on every monic polynomial of degree 8 over
+    # F_2, 6 over F_3 and 5 over F_4: both the pow_mod and the matrix
+    # Frobenius steps run, and over F_4 a step is two p-th power steps
+    for field, d in ((F2, 8), (F3, 6), (F4, 5)):
         irreducibles = set(monic_irreducibles(field, d))
         for packed in range(field.q**d):
             f = Poly.from_indices(field, _digits(packed, field.q, d) + [1])
@@ -403,7 +404,7 @@ def test_distinct_degree_matches_reference():
             f = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(n)] + [1])
             if not poly_gcd(f, f.derivative()).is_one:
                 continue
-            assert _ddf(field, list(f.coeffs)) == _distinct_degree_reference(f), f
+            assert list(_ddf(field, list(f.coeffs))) == _distinct_degree_reference(f), f
             assert factor(f).expand() == f, f
             done += 1
     # shrinking moduli: products of irreducibles of mixed degrees
@@ -412,7 +413,39 @@ def test_distinct_degree_matches_reference():
         f = Poly.one(field)
         for s, d in enumerate(degs):
             f = f * random_irreducible(field, d, seed=s)
-        assert _ddf(field, list(f.coeffs)) == _distinct_degree_reference(f), f
+        assert list(_ddf(field, list(f.coeffs))) == _distinct_degree_reference(f), f
+
+
+def _least_factor_degree(f, irreducibles):
+    """The least degree of a monic irreducible dividing f, by trial division
+    by the sieve's listings, cached in irreducibles by (field, degree)."""
+    for d in range(1, f.degree // 2 + 1):
+        key = (f.field, d)
+        if key not in irreducibles:
+            irreducibles[key] = monic_irreducibles(f.field, d)
+        if any((f % g).is_zero for g in irreducibles[key]):
+            return d
+    return f.degree
+
+
+def test_ddf_first_degree_is_least_factor_degree():
+    # for any monic f, squarefree or not, the first degree _ddf yields is
+    # the least degree of an irreducible factor, which is_irreducible reads
+    rng = random.Random(5)
+    irreducibles = {}
+    cases = []
+    for field, top, trials in ((F2, 10, 60), (F3, 10, 40), (F4, 10, 30), (F9, 10, 20), (F1024, 3, 10)):
+        for _ in range(trials):
+            n = rng.randint(1, top)
+            cases.append(Poly.from_indices(field, [rng.randrange(field.q) for _ in range(n)] + [1]))
+    # squares and cubes: not squarefree, so the later pairs may be wrong
+    for field, dg, dh in ((F2, 3, 2), (F3, 2, 3), (F4, 1, 3), (F9, 2, 1), (F1024, 1, 1)):
+        g, h = random_irreducible(field, dg, seed=1), random_irreducible(field, dh, seed=2)
+        cases += [g * g * h, g * g * g]
+    for f in cases:
+        d = next(_ddf(f.field, list(f.coeffs)))[0]
+        assert d == _least_factor_degree(f, irreducibles), f
+        assert is_irreducible(f) == (d == f.degree), f
 
 
 def test_factorization_degrees():

@@ -5,8 +5,9 @@ first three were recorded while every residue field was still built for its
 own prime, the next three while a prime off the orbit route was still
 reduced by polynomial remainders, f5_deg3 while Frobenius was still
 square-and-multiply, and f5_s2_d8 while odd residue fields above the tables
-still multiplied unpacked digit vectors; each route must leave every report
-as it is.
+still multiplied unpacked digit vectors; f3_s2_d30 and f4_s3_d24 while
+sampled primes above the tables were still drawn through Rabin's
+irreducibility test.  Each route must leave every report as it is.
 """
 
 from pathlib import Path
@@ -27,6 +28,10 @@ CASES = [
     # degrees above fields.TABLE_LIMIT, in odd characteristic and in 2
     ("f3_s3_d11", 0, "--pair gl2_f3_deg8 --samples 3 --degree 11"),
     ("f4_s4_d17", 0, "--pair gl2_f4_deg15 --samples 4 --degree 17"),
+    # composite degrees above the tables, each candidate tested for
+    # irreducibility: gcds at every degree up to 15 and 12
+    ("f3_s2_d30", 0, "--pair gl2_f3_deg8 --samples 2 --degree 30"),
+    ("f4_s3_d24", 0, "--pair gl2_f4_deg15 --samples 3 --degree 24"),
     # p = 5: the p-th power map and the odd byte tables of F_25 and F_125
     ("f5_deg3", 0, f"--pair {GOLDEN / 'gl2_f5_deg24.pair'} --max-degree 3"),
     # p = 5 above fields.TABLE_LIMIT: residue fields of order 5^8
