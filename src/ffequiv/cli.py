@@ -154,32 +154,32 @@ def cmd_split_check(args) -> int:
 
 
 def cmd_gassmann(args) -> int:
-    from .gassmann import build_gl, check_cap, example1_subgroups, stabilizer_pair, verify_gassmann
+    from .gassmann import build_gl, check_cap, stabilizer_pair, verify_gassmann
 
     # every refusal that needs no field comes before the modulus is tested
     if args.construction == "example1":
+        # Example 1 is the stabilizer pair of GL_2(F_p), p > 2
         if args.n != 2:
             raise ValueError("example1 is a GL_2 construction; use --n 2")
         if args.ext_modulus:
             raise ValueError("example1 runs over a prime field")
         if args.scalar_subgroup != "1":
             raise ValueError("example1 uses the trivial scalar subgroup")
-        H, Hp = example1_subgroups(_field_for(args.p, None))
-        G = H.parent
-    else:
-        if args.n < 2:
-            raise ValueError("stabilizer pair needs dimension at least 2")
-        modulus = _modulus(args)
-        if modulus is not None:
-            check_cap(args.p, len(modulus) - 1, args.n, args.cap)
-        field = _field_for(args.p, modulus)
-        gen = None
-        if args.scalar_subgroup != "1":
-            from .exprs import parse_element
+    elif args.n < 2:
+        raise ValueError("stabilizer pair needs dimension at least 2")
+    modulus = _modulus(args)
+    if modulus is not None:
+        check_cap(args.p, len(modulus) - 1, args.n, args.cap)
+    field = _field_for(args.p, modulus)
+    if args.construction == "example1" and field.p == 2:
+        raise ValueError("example 1 requires a prime field with p > 2")
+    gen = None
+    if args.scalar_subgroup != "1":
+        from .exprs import parse_element
 
-            gen = parse_element(args.scalar_subgroup, field)
-        G = build_gl(args.n, field, scalar_generator=gen, cap=args.cap)
-        H, Hp = stabilizer_pair(G)
+        gen = parse_element(args.scalar_subgroup, field)
+    G = build_gl(args.n, field, scalar_generator=gen, cap=args.cap)
+    H, Hp = stabilizer_pair(G)
     cert = verify_gassmann(G, H, Hp)
     print(cert.render())
     return 0 if cert.is_gassmann and cert.is_nontrivial else 1

@@ -459,16 +459,18 @@ def build_gl(
 class Subgroup:
     """Subset of a MatGroup, verified closed by spanning generators picked
     greedily from its sorted members: each span is walked on the parent's
-    row-code tables, without a matrix product."""
+    row-code tables, without a matrix product.  ``indices`` holds the
+    members' indices in the parent, looked up once while membership is
+    checked."""
 
     def __init__(self, parent: MatGroup, members):
         members = sorted(set(members), key=lambda m: m.key)
         if not members:
             raise ValueError("a subgroup cannot be empty")
-        for m in members:
-            if m not in parent.index:
-                raise ValueError("member outside the parent group")
-        mset = set(members)
+        indices = frozenset(map(parent.index.get, members))
+        if None in indices:
+            raise ValueError("member outside the parent group")
+        mset = frozenset(members)
         if parent.identity not in mset:
             raise ValueError("subgroup must contain the identity")
         gens = []
@@ -484,51 +486,31 @@ class Subgroup:
         self.parent = parent
         self.gens = tuple(gens)
         self.members = tuple(members)
-        self.member_set = frozenset(members)
+        self.member_set = mset
+        self.indices = indices
 
     def __len__(self):
         return len(self.members)
 
 
 def example1_subgroups(field: FiniteField):
-    """The pair H = [[1,*],[0,*]], H' = [[*,*],[0,1]] inside GL_2(F_p), p > 2."""
+    """The paper's Example 1, H = [[1,*],[0,*]] and H' = [[*,*],[0,1]] in
+    GL_2(F_p), p > 2: the stabilizer pair of GL_2(F_p)."""
     if field.m != 1 or field.p <= 2:
         raise ValueError("example 1 requires a prime field with p > 2")
-    G = build_gl(2, field)
-    h = [m for m in G.elements if m.rows[0][0] == 1 and m.rows[1][0] == 0]
-    hp = [m for m in G.elements if m.rows[1] == (0, 1)]
-    return Subgroup(G, h), Subgroup(G, hp)
+    return stabilizer_pair(build_gl(2, field))
 
 
-def stabilizer_pair(G: MatGroup, vector_index: int = 0, covector_index: int | None = None):
-    """Stabilizers of the S-orbit of a basis vector and of a basis covector.
-
-    vector_index picks e_i for the column condition; covector_index picks the
-    row condition and defaults to the last row.  Different choices give
-    conjugate subgroups, hence identical certificates.
-    """
-    n = G.n
-    if n < 2:
+def stabilizer_pair(G: MatGroup):
+    """Stabilizers of the S-orbit of the first basis vector and of the last
+    basis covector: H has first column (s, 0, ..., 0) and H' last row
+    (0, ..., 0, s), s in S.  Other basis vectors give conjugate subgroups,
+    hence identical certificates."""
+    if G.n < 2:
         raise ValueError("stabilizer pair needs dimension at least 2")
-    if covector_index is None:
-        covector_index = n - 1
-    if not (0 <= vector_index < n and 0 <= covector_index < n):
-        raise ValueError("basis index out of range")
     s_set = {s.index for s in G.scalar_subgroup}
-    v = vector_index
-    w = covector_index
-    h = [
-        m
-        for m in G.elements
-        if m.rows[v][v] in s_set
-        and not any(m.rows[i][v] for i in range(n) if i != v)
-    ]
-    hp = [
-        m
-        for m in G.elements
-        if m.rows[w][w] in s_set
-        and not any(m.rows[w][j] for j in range(n) if j != w)
-    ]
+    h = [m for m in G.elements if m.rows[0][0] in s_set and not any(r[0] for r in m.rows[1:])]
+    hp = [m for m in G.elements if m.rows[-1][-1] in s_set and not any(m.rows[-1][:-1])]
     return Subgroup(G, h), Subgroup(G, hp)
 
 
@@ -542,9 +524,8 @@ def permutation_character_fixpoints(G: MatGroup, H: Subgroup) -> list[int]:
     class C fixes |G| * |C & H| / (|C| * |H|) cosets."""
     if H.parent is not G:
         raise ValueError("H is not a subgroup of this group")
-    h_indices = {G.index[m] for m in H.members}
     return [
-        len(G) * len(members & h_indices) // (size * len(H))
+        len(G) * len(members & H.indices) // (size * len(H))
         for _, size, members in G.conjugacy_classes()
     ]
 
@@ -571,14 +552,11 @@ def _are_conjugate(G: MatGroup, H: Subgroup, Hp: Subgroup) -> bool:
     lies in the orbit of that of H under conjugation by the generators."""
     if len(H) != len(Hp):
         return False
-    index = G.index
-    target = frozenset(index[m] for m in Hp.members)
-    start = frozenset(index[m] for m in H.members)
-    seen = {start}
-    orbit = [start]
+    seen = {H.indices}
+    orbit = [H.indices]
     maps = G.conjugations()
     for members in orbit:  # grows while it is read
-        if members == target:
+        if members == Hp.indices:
             return True
         for c in maps:
             image = frozenset([c[i] for i in members])

@@ -385,6 +385,29 @@ def test_gassmann_example1_needs_prime_field(capsys, monkeypatch):
     )
     assert rc == 2
     assert "prime field" in err
+    # F_2 is refused once it is built, before GL_2(F_2) is listed
+    rc, out, err = run(capsys, ["gassmann", "--p", "2", "--n", "2", "--construction", "example1"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: example 1 requires a prime field with p > 2\n"
+
+
+def test_gassmann_example1_honours_the_cap(capsys):
+    # example1 builds GL_2(F_p) as stabilizers does, so --cap bounds both alike
+    for args, message in [
+        ("--p 7 --cap 10", "group order 2016 > cap 10"),
+        ("--p 3 --cap 128", "group order 48 and 81 table entries > cap 128"),
+        ("--p 101 --cap 1000", "group order 103020000 > cap 1000"),
+    ]:
+        outcomes = [
+            run(capsys, ["gassmann", "--n", "2", "--construction", c, *args.split()])
+            for c in ("example1", "stabilizers")
+        ]
+        assert outcomes[0] == outcomes[1] == (2, "", f"error: enumeration cap exceeded: {message}\n")
+    # a larger cap admits a larger group
+    rc, out, _ = run(capsys, ["gassmann", "--p", "3", "--n", "2", "--construction", "example1", "--cap", "129"])
+    assert rc == 0
+    assert out.endswith("gassmann=true nontrivial=true index=8\n")
 
 
 def test_gassmann_bad_construction(capsys):

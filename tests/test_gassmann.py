@@ -75,6 +75,8 @@ def test_group_orders():
     assert len(build_gl(2, F4)) == 180
     assert len(build_gl(3, F2)) == 168
     assert len(build_gl(1, F3)) == 2
+    with pytest.raises(ValueError, match="at least 1"):
+        build_gl(0, F3)
 
 
 def test_order_formula():
@@ -108,6 +110,8 @@ def test_scalar_quotient():
         assert G.inv(a) in G.index
     with pytest.raises(ValueError, match="nonzero"):
         build_gl(2, F3, scalar_generator=F3(0))
+    with pytest.raises(ValueError, match="different field"):
+        build_gl(2, F3, scalar_generator=F5(4))
 
 
 def test_matelem_basics(gl2_f3):
@@ -197,6 +201,9 @@ def _check_matelem(field):
 def test_matelem_rejects_non_index_entries():
     with pytest.raises(ValueError, match="neither a FieldElement nor an index"):
         MatElem(prime_field(7), [[1.0, 0], [0, 1]])
+    for rows in ([], [[1, 0]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="square"):
+            MatElem(prime_field(7), rows)
 
 
 def test_example1_subgroups(gl2_f3):
@@ -398,7 +405,8 @@ def test_certificate_self_pair(ex1_f3):
         G = build_gl(n, field)
         triples.append((G, *stabilizer_pair(G)))
     for G, H, Hp in triples:
-        for a, b in ((H, Hp), (Hp, H), (H, H)):
+        full = Subgroup(G, G.elements)
+        for a, b in ((H, Hp), (Hp, H), (H, H), (H, full)):
             assert _are_conjugate(G, a, b) == _conjugate_by_members(G, a, b)
 
 
@@ -494,15 +502,20 @@ def test_stabilizer_matches_example1(gl2_f3, ex1_f3):
 
 
 def test_stabilizer_choice_invariance():
-    G = build_gl(2, F4)
-    base = verify_gassmann(G, *stabilizer_pair(G, 0, None))
-    alt = verify_gassmann(G, *stabilizer_pair(G, 1, 0))
-    assert base.is_gassmann == alt.is_gassmann
-    assert base.is_nontrivial == alt.is_nontrivial
-    assert base.index == alt.index
-    base_fix = [(size, fh, fhp) for _, size, fh, fhp in base.rows]
-    alt_fix = [(size, fh, fhp) for _, size, fh, fhp in alt.rows]
-    assert sorted(base_fix) == sorted(alt_fix)
+    # other basis vectors give the pair conjugated by a permutation matrix,
+    # and the certificate does not change, row for row
+    swap = [[0, 1], [1, 0]]
+    cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    for G, perm in (
+        (build_gl(2, F4), swap),
+        (build_gl(2, F5, scalar_generator=F5(4)), swap),
+        (build_gl(3, F2), cycle),
+    ):
+        H, Hp = stabilizer_pair(G)
+        g = MatElem.from_ints(G.field, perm)
+        Hg, Hpg = _conjugated(G, H, g), _conjugated(G, Hp, g)
+        assert Hg.member_set != H.member_set and Hpg.member_set != Hp.member_set
+        assert verify_gassmann(G, Hg, Hpg) == verify_gassmann(G, H, Hp)
 
 
 def test_subgroup_validation(gl2_f3):
@@ -514,6 +527,10 @@ def test_subgroup_validation(gl2_f3):
     other = build_gl(2, F2)
     with pytest.raises(ValueError, match="outside"):
         Subgroup(gl2_f3, [other.identity])
+    with pytest.raises(ValueError, match="empty"):
+        Subgroup(gl2_f3, [])
+    with pytest.raises(ValueError, match="dimension at least 2"):
+        stabilizer_pair(build_gl(1, F3))
 
 
 def test_verify_rejects_foreign_subgroup(gl2_f3, ex1_f3):
@@ -522,3 +539,5 @@ def test_verify_rejects_foreign_subgroup(gl2_f3, ex1_f3):
     oh, ohp = stabilizer_pair(other)
     with pytest.raises(ValueError, match="subgroup"):
         verify_gassmann(gl2_f3, h, ohp)
+    with pytest.raises(ValueError, match="subgroup"):
+        permutation_character_fixpoints(gl2_f3, oh)

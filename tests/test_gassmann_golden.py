@@ -5,7 +5,9 @@ recorded before conjugacy classes and the conjugator search moved to index
 tables (stab_f2_n4 and stab_f4_n3 before enumeration moved to row codes); a
 change to the group code must leave every one of them as it is.  stab_f4_n3,
 GL_3(F_4) with 181 440 elements, takes seconds, so CI diffs it from the CLI
-instead of listing it here.
+instead of listing it here.  Example 1 is the n = 2 stabilizer pair over
+F_p, so `--construction stabilizers` prints the ex1 goldens too; those rows
+are told apart by a construction suffix on their ids.
 """
 
 from pathlib import Path
@@ -21,6 +23,9 @@ CASES = [
     ("ex1_p3", 0, "--p 3 --n 2 --construction example1"),
     ("ex1_p5", 0, "--p 5 --n 2 --construction example1"),
     ("ex1_p7", 0, "--p 7 --n 2 --construction example1"),
+    ("ex1_p3", 0, "--p 3 --n 2 --construction stabilizers"),
+    ("ex1_p5", 0, "--p 5 --n 2 --construction stabilizers"),
+    ("ex1_p7", 0, "--p 7 --n 2 --construction stabilizers"),
     ("stab_f2_n2", 1, "--p 2 --n 2 --construction stabilizers"),
     ("stab_f2_n3", 0, "--p 2 --n 3 --construction stabilizers"),
     ("stab_f2_n4", 0, "--p 2 --n 4 --construction stabilizers"),
@@ -34,7 +39,13 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,code,args", CASES, ids=[c[0] for c in CASES])
+IDS = [
+    f"{name}_stabilizers" if name.startswith("ex1") and "stabilizers" in args else name
+    for name, _, args in CASES
+]
+
+
+@pytest.mark.parametrize("name,code,args", CASES, ids=IDS)
 def test_gassmann_golden(capsys, name, code, args):
     rc = main(["gassmann", *args.split()])
     cap = capsys.readouterr()
