@@ -195,19 +195,12 @@ def _render_prime(P: Poly) -> str:
 def cmd_primes(args) -> int:
     if args.degree < 1:
         raise ValueError("degree must be at least 1")
-    from .poly import SIEVE_LIMIT, monic_irreducibles
+    from .poly import check_sieve, monic_irreducibles
 
     modulus = _modulus(args)
     if modulus is not None:
-        # the sieve's bound on (p^m)^degree candidates, checked before
-        # Ben-Or's test of the modulus; at e >= 25 digits p^e > 2^24
-        m = len(modulus) - 1
-        e = m * args.degree
-        if e >= SIEVE_LIMIT.bit_length() or args.p**e > SIEVE_LIMIT:
-            raise ValueError(
-                f"listing degree-{args.degree} irreducibles over GF({args.p}^{m}) sieves "
-                f"({args.p}^{m})^{args.degree} candidates, more than the limit of {SIEVE_LIMIT}"
-            )
+        # the sieve's bound, checked before Ben-Or's test of the modulus
+        check_sieve(args.p, len(modulus) - 1, args.degree)
     primes = monic_irreducibles(_field_for(args.p, modulus), args.degree)
     for P in primes:
         print(_render_prime(P))

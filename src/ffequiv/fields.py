@@ -163,9 +163,21 @@ class FiniteField:
 
     def from_index(self, index: int) -> FieldElement:
         """Element with the given integer encoding sum(c_i * p^i), 0 <= index < q."""
-        if not 0 <= index < self.q:
-            raise ValueError(f"index {index} out of range for field of order {self.q}")
-        return FieldElement(self, index)
+        return FieldElement(self, self._index_of(index))
+
+    def _index_of(self, value) -> int:
+        """The index of an entry given as a FieldElement of this field or as
+        an index 0 <= value < q: the one check of the constructors of
+        polynomials and matrices.  Anything else raises ValueError."""
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise ValueError(f"{value!r} is from a different field than {self!r}")
+            return value.index
+        if not isinstance(value, int):
+            raise ValueError(f"{value!r} is neither a FieldElement nor an index")
+        if not 0 <= value < self.q:
+            raise ValueError(f"index {value} out of range for field of order {self.q}")
+        return value
 
     def elements(self) -> Iterator[FieldElement]:
         """All q elements in index order."""
@@ -295,11 +307,6 @@ def _least_primitive(p: int, q: int, power) -> int:
         if all(power(g, e) != 1 for e in cofactors):
             return g
     raise AssertionError("multiplicative group has no generator")  # unreachable
-
-
-def _smallest_generator(field: FiniteField) -> FieldElement:
-    """The primitive element of least index."""
-    return FieldElement(field, _least_primitive(field.p, field.q, field.pow))
 
 
 def _exp_log(field: FiniteField, mul, g: int) -> tuple[array, array]:

@@ -30,7 +30,7 @@ from functools import partial
 from itertools import product
 
 from . import _Record
-from .fields import FieldElement, FiniteField, _smallest_generator
+from .fields import FieldElement, FiniteField, _least_primitive
 
 
 def _row_code(row, q: int) -> int:
@@ -41,31 +41,28 @@ def _row_code(row, q: int) -> int:
     return code
 
 
+def _row_times(addmul, row, rows) -> list:
+    """The entries of row times the square matrix with the given rows, on
+    indices, by the field's ``addmul`` kernel."""
+    acc = [0] * len(rows)
+    for c, r in zip(row, rows):
+        if c:
+            addmul(acc, c, r, 0)
+    return acc
+
+
 class MatElem:
     """Invertible n x n matrix over a finite field.
 
     ``rows`` holds the field index of each entry; the constructor takes
-    FieldElements or indices.
+    indices or FieldElements of the field, each through the field's entry
+    check (``FiniteField._index_of``).
     """
 
     __slots__ = ("field", "n", "rows")
 
     def __init__(self, field: FiniteField, rows):
-        q = field.q
-        out = []
-        for r in rows:
-            row = []
-            for e in r:
-                if isinstance(e, FieldElement):
-                    if e.field is not field:
-                        raise ValueError("entry from a different field")
-                    e = e.index
-                elif not isinstance(e, int):
-                    raise ValueError(f"entry {e!r} is neither a FieldElement nor an index")
-                elif not 0 <= e < q:
-                    raise ValueError(f"index {e} out of range for field of order {q}")
-                row.append(e)
-            out.append(tuple(row))
+        out = [tuple(map(field._index_of, r)) for r in rows]
         n = len(out)
         if n == 0 or any(len(r) != n for r in out):
             raise ValueError("rows must form a square matrix")
@@ -126,17 +123,9 @@ class MatElem:
         return FieldElement(self.field, self._gauss_jordan()[0])
 
     def mul(self, other: "MatElem") -> "MatElem":
-        n = self.n
-        addmul = self.field.addmul
-        b = other.rows
-        rows = []
-        for ra in self.rows:
-            acc = [0] * n
-            for c, rb in zip(ra, b):
-                if c:
-                    addmul(acc, c, rb, 0)
-            rows.append(tuple(acc))
-        return MatElem._make(self.field, n, tuple(rows))
+        addmul, b = self.field.addmul, other.rows
+        rows = tuple(tuple(_row_times(addmul, r, b)) for r in self.rows)
+        return MatElem._make(self.field, self.n, rows)
 
     def inverse(self) -> "MatElem":
         rows = self._gauss_jordan()[1]
@@ -201,7 +190,7 @@ class MatGroup:
             # canon_scalar[e], a member of S, takes a nonzero e = g0^k to its
             # transversal representative g0^(k mod step)
             step = (q - 1) // len(scalar_subgroup)
-            g0 = _smallest_generator(field).index
+            g0 = _least_primitive(field.p, q, field.pow)
             canon_scalar = [0] * q
             a = 1
             for k in range(q - 1):
@@ -238,15 +227,8 @@ class MatGroup:
 
     def _act(self, g: MatElem) -> list:
         """The code of row * g for each row code."""
-        n, q, addmul = self.n, self.field.q, self.field.addmul
-        out = []
-        for r in self._rows:
-            acc = [0] * n
-            for c, rg in zip(r, g.rows):
-                if c:
-                    addmul(acc, c, rg, 0)
-            out.append(_row_code(acc, q))
-        return out
+        q, addmul = self.field.q, self.field.addmul
+        return [_row_code(_row_times(addmul, r, g.rows), q) for r in self._rows]
 
     def _enumerate(self, gens):
         """The span of gens from the identity, breadth first a layer at a
@@ -386,13 +368,20 @@ def _gl_order(q: int, n: int) -> int:
     return out
 
 
+def _order_low_bits(p: int, m: int, n: int) -> int:
+    """A b with |GL_n(F_q)/S| >= 2^b, q = p^m, for any scalar subgroup S.
+    |GL_n(F_q)| = q^(n^2) * prod_j (1 - q^-j) > q^(n^2)/4 and |S| <= q - 1,
+    and 2^(m(k-1)) <= q < 2^(mk) for k = p.bit_length(), so q is never
+    formed."""
+    k = p.bit_length()
+    return n * n * m * (k - 1) - 2 - m * k
+
+
 def check_cap(p: int, m: int, n: int, cap: int) -> None:
-    """Refuse GL_n(F_q)/S, q = p^m, when build_gl's lower bound
-    q^(n^2)/(4(q-1)) on its order exceeds cap.  q is never formed, so this
-    can run before F_q is built and its modulus tested."""
-    # 2^(m*(b-1)) <= q < 2^(m*b) for b = p.bit_length()
-    b = p.bit_length()
-    low_bits = n * n * m * (b - 1) - 2 - m * b
+    """Refuse GL_n(F_q)/S, q = p^m, when the lower bound 2^b on its order,
+    b from :func:`_order_low_bits`, exceeds cap.  q is never formed, so
+    this can run before F_q is built and its modulus tested."""
+    low_bits = _order_low_bits(p, m, n)
     if low_bits >= cap.bit_length():
         raise ValueError(f"enumeration cap exceeded: group order of over {low_bits} bits > cap {cap}")
 
@@ -403,7 +392,11 @@ def build_gl(
     scalar_generator: FieldElement | None = None,
     cap: int = 10**6,
 ) -> MatGroup:
-    """Enumerate GL_n(F_q)/S with S generated by scalar_generator (S={1} if None)."""
+    """Enumerate GL_n(F_q)/S with S generated by scalar_generator (S={1} if None).
+
+    An order above cap is refused before anything is listed: by
+    :func:`check_cap`'s lower bound when that has over _EXACT_ORDER_BITS
+    bits, else by the exact order."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     q = field.q
@@ -418,11 +411,8 @@ def build_gl(
         while a not in s_elems:
             s_elems.add(a)
             a = mul(a, s)
-    # |GL_n(F_q)| = q^(n^2) * prod_j (1 - q^-j) > q^(n^2) / 4 and |S| <= q - 1,
-    # so the order is at least 2^low_bits: a bound that never builds the order
-    low_bits = n * n * (q.bit_length() - 1) - 2 - (q - 1).bit_length()
-    if low_bits > _EXACT_ORDER_BITS and low_bits >= cap.bit_length():
-        raise ValueError(f"enumeration cap exceeded: group order of over {low_bits} bits > cap {cap}")
+    if _order_low_bits(field.p, field.m, n) > _EXACT_ORDER_BITS:
+        check_cap(field.p, field.m, n, cap)
     size = _gl_order(q, n) // len(s_elems)
     if size > cap:
         shown = size if size < 10**30 else f"of {size.bit_length()} bits"
@@ -444,7 +434,7 @@ def build_gl(
     # where g0 = 1).  Conjugated by its powers, 1 + E_01 gives 1 + g0^k*E_01, whose
     # products are every 1 + b*E_01; commutators carry these to every
     # transvection, and the transvections generate SL_n(F_q)
-    gens = [with_entry(0, 0, _smallest_generator(field).index)] if q > 2 else []
+    gens = [with_entry(0, 0, _least_primitive(field.p, q, field.pow))] if q > 2 else []
     for i in range(n - 1):
         gens += [with_entry(i, i + 1, 1), with_entry(i + 1, i, 1)]
     scalars = tuple(FieldElement(field, s) for s in sorted(s_elems))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
+import struct
 from array import array
 from typing import Container, Generator, Iterable, Iterator, Sequence
 
@@ -217,8 +217,9 @@ class Poly(_Dense):
 
     ``coeffs`` holds each coefficient's integer index in the field, and
     the field's int kernels are the coefficient ring's.  The constructor
-    also takes FieldElements; ``leading``, ``coeff`` and evaluation give
-    FieldElements back.
+    takes indices or FieldElements of the field, each through the field's
+    entry check (``FiniteField._index_of``); ``leading``, ``coeff`` and
+    evaluation give FieldElements back.
     """
 
     __slots__ = ()
@@ -227,19 +228,7 @@ class Poly(_Dense):
     _scalar = FieldElement
 
     def __init__(self, field: FiniteField, coeffs: Iterable = ()):
-        cs = []
-        q = field.q
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise ValueError(f"coefficient from {c.field!r}, not {field!r}")
-                c = c.index
-            elif not isinstance(c, int):
-                raise ValueError(f"coefficient {c!r} is neither a FieldElement nor an index")
-            elif not 0 <= c < q:
-                raise ValueError(f"index {c} out of range for field of order {q}")
-            cs.append(c)
-        super().__init__(field, cs)
+        super().__init__(field, map(field._index_of, coeffs))
 
     @classmethod
     def from_ints(cls, field: FiniteField, ints: Sequence[int]) -> "Poly":
@@ -318,24 +307,6 @@ class Poly(_Dense):
             acc = add(mul(acc, xi), c)
         return f.from_index(acc)
 
-    def __repr__(self):
-        if self.is_zero:
-            return "Poly(0)"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = str(self.field.from_index(c))
-            var = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if i == 0:
-                parts.append(cs)
-            elif c == 1:
-                parts.append(var)
-            else:
-                parts.append(f"{cs}*{var}" if "+" not in cs else f"({cs})*{var}")
-        return "Poly(" + " + ".join(parts) + ")"
-
 
 _mk = Poly._make  # the Poly with coefficient indices cs, trimmed in place
 
@@ -351,9 +322,6 @@ def _product(addmul, a: Sequence, b: Sequence, zero=0, twist=None) -> list:
     return out
 
 
-_U32_OK = array("I").itemsize == 4
-
-
 def _int_convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Exact convolution of small nonnegative sequences via one big-integer
     multiply; each 32-bit slot holds one coefficient, carry-free by the
@@ -362,13 +330,7 @@ def _int_convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     pa = int.from_bytes(b"".join(c.to_bytes(4, "little") for c in a), "little")
     pb = int.from_bytes(b"".join(c.to_bytes(4, "little") for c in b), "little")
     raw = (pa * pb).to_bytes(4 * (n + 1), "little")
-    if _U32_OK:
-        slots = array("I")
-        slots.frombytes(raw)
-        if sys.byteorder != "little":
-            slots.byteswap()
-        return [slots[i] % p for i in range(n)]
-    return [int.from_bytes(raw[4 * i : 4 * i + 4], "little") % p for i in range(n)]
+    return [c % p for c in struct.unpack_from(f"<{n}I", raw)]
 
 
 # ---------------------------------------------------------------------------
@@ -690,18 +652,29 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 SIEVE_LIMIT = 1 << 24  # most candidates (q^d) that monic_irreducibles sieves
 
 
+def check_sieve(p: int, m: int, d: int) -> None:
+    """Refuse listing the monic irreducibles of degree d over F_q, q = p^m,
+    when the sieve would mark more than SIEVE_LIMIT candidates (q^d).  q is
+    never formed, so this can run before F_q is built and its modulus
+    tested."""
+    e = m * d
+    # at e >= 25 digits p^e > 2^24
+    if e >= SIEVE_LIMIT.bit_length() or p**e > SIEVE_LIMIT:
+        name, base = (p, p) if m == 1 else (f"{p}^{m}", f"({p}^{m})")
+        raise ValueError(
+            f"listing degree-{d} irreducibles over GF({name}) sieves {base}^{d} candidates, "
+            f"more than the limit of {SIEVE_LIMIT}"
+        )
+
+
 def _irr_packed(field: FiniteField, d: int) -> array:
     """The monic irreducibles of degree d, each packed as the base-q number
     of its lower coefficients (c_0..c_{d-1}, leading 1 implied), found by
     sieving out products of lower-degree monic polynomials.  Ascending, so
     sorted by coefficients from the leading end.  Nothing is kept: a lower
     degree is sieved again, at most q^(d/2) candidates."""
+    check_sieve(field.p, field.m, d)
     q = field.q
-    if q**d > SIEVE_LIMIT:
-        raise ValueError(
-            f"listing degree-{d} irreducibles over GF({q}) sieves {q}^{d} candidates, "
-            f"more than the limit of {SIEVE_LIMIT}"
-        )
     add, mul, addmul = field.add, field.mul, field.addmul
     mark = bytearray(q**d)
     for e in range(1, d // 2 + 1):

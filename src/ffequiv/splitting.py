@@ -89,13 +89,10 @@ class Exhaustive(_Record):
 
 
 class Sampled(_Record):
-    """count distinct random monic irreducibles of the given degree.
+    """count distinct random monic irreducibles of the given degree, drawn
+    with the seed passed to compare_split_types."""
 
-    seed=None defers to the global seed passed to compare_split_types.
-    """
-
-    __slots__ = ("count", "degree", "seed")
-    _defaults = {"seed": None}
+    __slots__ = ("count", "degree")
 
 
 PrimeSelection = Union[Exhaustive, Sampled]
@@ -307,7 +304,7 @@ def _select_primes(field: FiniteField, selection: PrimeSelection,
                 f"{selection.count} sampled primes are more than the limit of "
                 f"{PRIME_COUNT_LIMIT} for one comparison"
             )
-        rng = random.Random(seed if selection.seed is None else selection.seed)
+        rng = random.Random(seed)
         d = selection.degree
         tables = {d: _orbit_roots(field.p, d)} if _orbits_pay(field.p, d, selection.count) else {}
         # with a table, its root map decides irreducibility

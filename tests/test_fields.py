@@ -11,8 +11,8 @@ from ffequiv.fields import (
     TABLE_LIMIT,
     _FIELD_CACHE,
     FiniteField,
+    _least_primitive,
     _plain_kernels,
-    _smallest_generator,
     extension_field,
     is_prime,
     prime_field,
@@ -48,6 +48,8 @@ def test_construction_errors():
         extension_field(10007, modulus=[2, 0, 3, 0, 1])  # (x^2 + 1)(x^2 + 2)
     with pytest.raises(ValueError):
         extension_field(2, modulus=[1, 1, 2])  # not monic after reduction
+    with pytest.raises(ValueError, match="monic"):
+        extension_field(3, modulus=[1, 0, 2])
     with pytest.raises(ValueError):
         extension_field(2, degree=1)
     with pytest.raises(ValueError):
@@ -145,6 +147,10 @@ def test_index_round_trip():
         assert len(seen) == field.q
     with pytest.raises(ValueError):
         prime_field(3).from_index(3)
+    with pytest.raises(ValueError, match="neither a FieldElement nor an index"):
+        prime_field(3).from_index(1.5)
+    with pytest.raises(ValueError, match="longer than degree"):
+        extension_field(3, degree=2).from_coeffs([1, 2, 1])
 
 
 def test_frobenius_fixes_everything():
@@ -468,7 +474,7 @@ def test_fields_freed_by_refcount():
 
 def test_smallest_generator_is_least_of_full_order():
     for field in sample_fields() + [extension_field(5, degree=2), extension_field(3, degree=5)]:
-        g = _smallest_generator(field)
+        g = field.from_index(_least_primitive(field.p, field.q, field.pow))
         assert g.multiplicative_order() == field.q - 1
         for i in range(1, g.index):
             assert field.from_index(i).multiplicative_order() < field.q - 1

@@ -150,6 +150,8 @@ def test_render_tpoly():
     assert render_tpoly(P(F3, 2, 1)) == "T + 2"
     assert render_tpoly(P(F3, 0, 0, 2)) == "2*T^2"
     assert render_tpoly(P(F5, 1, 0, 3, 1)) == "T^3 + 3*T^2 + 1"
+    with pytest.raises(ValueError, match="prime base field"):
+        render_tpoly(Poly.x(extension_field(2, degree=2)))
 
 
 def test_render_ypoly_goldens():
@@ -163,6 +165,8 @@ def test_render_ypoly_goldens():
     g = YPoly(F2, coeffs)
     assert render_ypoly(g) == "y^15 + (T^4 + T)*y^3 + (T^2 + T + 1)*y + T^2 + T + 1"
     assert render_ypoly(YPoly.zero(F3)) == "0"
+    with pytest.raises(ValueError, match="prime base field"):
+        render_ypoly(YPoly.y(extension_field(2, degree=2)))
 
 
 def test_render_twisted_goldens():

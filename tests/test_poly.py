@@ -10,6 +10,7 @@ from ffequiv.poly import (
     is_irreducible,
     monic_irreducibles,
     _ddf,
+    _pth_root,
     poly_gcd,
     pow_mod,
     random_irreducible,
@@ -51,6 +52,10 @@ def test_ring_ops_examples():
     q, r = divmod(P(F3, 0, 0, 0, 1), P(F3, 1, 1))
     assert q == P(F3, 1, 2, 1)
     assert r == P(F3, 2)
+    # a FieldElement factor scales, if it lies in the same field
+    assert P(F3, 1, 1) * F3(2) == P(F3, 2, 2)
+    with pytest.raises(ValueError, match="different field"):
+        _ = P(F3, 1, 1) * F2.one
 
 
 def test_degree_sentinel_and_basics():
@@ -62,6 +67,8 @@ def test_degree_sentinel_and_basics():
     assert P(F3, 2, 1).leading == F3(1)
     with pytest.raises(ValueError):
         _ = Poly.zero(F3).leading
+    with pytest.raises(ValueError, match="zero polynomial"):
+        Poly.zero(F3).monic()
     with pytest.raises(ZeroDivisionError):
         divmod(Poly.x(F3), Poly.zero(F3))
     with pytest.raises(ValueError):
@@ -72,6 +79,11 @@ def test_constructor_rejects_non_index_coefficients():
     for field in (prime_field(5), F9):
         for bad in (1.5, "1", None):
             with pytest.raises(ValueError, match="neither a FieldElement nor an index"):
+                Poly(field, [bad, 2])
+        with pytest.raises(ValueError, match="different field"):
+            Poly(field, [F2.one, 2])
+        for bad in (field.q, -1):
+            with pytest.raises(ValueError, match="out of range"):
                 Poly(field, [bad, 2])
 
 
@@ -161,9 +173,14 @@ def test_evaluate_and_derivative():
     f = P(F3, 2, 0, 1)  # T^2 + 2
     assert f(F3(1)) == F3(0)
     assert f(F3(0)) == F3(2)
+    with pytest.raises(ValueError, match="different field"):
+        f(F2.one)
     assert f.derivative() == P(F3, 0, 2)
-    # derivative kills p-th powers
+    # derivative kills p-th powers, whose p-th roots the factorization takes
     assert P(F3, 1, 0, 0, 1).derivative() == Poly.zero(F3)
+    assert _pth_root(F3, [1, 0, 0, 1]) == [1, 1]
+    with pytest.raises(ValueError, match="not a p-th power"):
+        _pth_root(F3, [1, 1, 0, 1])
 
 
 def test_gcd_examples():
@@ -345,12 +362,18 @@ def test_random_irreducible():
     assert random_irreducible(F9, 3, seed=1) == random_irreducible(F9, 3, seed=1)
     for s in range(5):
         assert is_irreducible(random_irreducible(F3, 4, seed=s))
+    with pytest.raises(ValueError, match="degree must be positive"):
+        random_irreducible(F3, 0)
 
 
 def test_pow_mod():
     f = P(F3, 1, 0, 1)
     assert pow_mod(Poly.x(F3), 9, f) == Poly.x(F3) % f  # Frobenius fixes F_9
     assert pow_mod(Poly.x(F3), 0, f).is_one
+    with pytest.raises(ValueError, match="negative exponent"):
+        pow_mod(Poly.x(F3), -1, f)
+    with pytest.raises(ValueError, match="negative exponent"):
+        _ = Poly.x(F3) ** -1
     rng = random.Random(5)
     for field in (F2, F3, F9):
         for _ in range(2):

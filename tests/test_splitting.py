@@ -87,6 +87,9 @@ def test_reduce_validates_prime(pair1):
         reduce_mod_prime(f, P(F3, 1, 2))
     with pytest.raises(ValueError, match="irreducible"):
         reduce_mod_prime(f, P(F3, 2, 0, 1))
+    F4 = extension_field(2, degree=2)
+    with pytest.raises(ValueError, match="prime base fields only"):
+        reduce_mod_prime(parse("y^2 + T", "y_poly", F4), Poly.x(F4))
 
 
 def test_split_type_goldens(pair1):
@@ -137,9 +140,13 @@ def test_self_comparison(pair1):
     report = compare_split_types(f, f, Exhaustive(3))
     assert report.overall == "consistent"
     assert report.unequal_count == 0
+    assert any(v.is_bad for v in report.verdicts)
     for v in report.verdicts:
         if not v.is_bad:
             assert v.equal
+        else:
+            with pytest.raises(ValueError, match="no equality verdict"):
+                _ = v.equal
 
 
 def test_refuted_pair():
@@ -292,6 +299,8 @@ def test_selection_errors(pair1):
         compare_split_types(f, h, Exhaustive(1))
     with pytest.raises(ValueError, match="more than the limit"):
         compare_split_types(f, g, Sampled(splitting.PRIME_COUNT_LIMIT + 1, 12))
+    with pytest.raises(TypeError, match="unknown prime selection"):
+        compare_split_types(f, g, SplitType((1,)))
     # the orbit walk lists primes over F_p only, never over an extension
     F4 = extension_field(2, modulus=[1, 1, 1])
     f4 = parse("y^2 + T", "y_poly", F4)
@@ -307,10 +316,10 @@ from ffequiv.cli import _read_pair_source, load_pair
 
 pair = load_pair(_read_pair_source("gl2_f3_deg8"))
 out = {}
-for name, selection in (("exhaustive", splitting.Exhaustive(5)),
-                        ("sampled", splitting.Sampled(2, 7, seed=1))):
+for name, selection, seed in (("exhaustive", splitting.Exhaustive(5), 0),
+                              ("sampled", splitting.Sampled(2, 7), 1)):
     before = set(fields._FIELD_CACHE)
-    report = splitting.compare_split_types(pair.f, pair.g, selection)
+    report = splitting.compare_split_types(pair.f, pair.g, selection, seed=seed)
     out[name] = {
         "primes": len(report.verdicts),
         "degrees": [len(mod) - 1 for p, mod in fields._FIELD_CACHE if (p, mod) not in before],
@@ -436,8 +445,8 @@ def test_records_are_frozen_values():
     assert v != splitting.PrimeVerdict(P(F3, 1, 1), v.type_f, v.type_g, "repeated_factor_f")
     assert SplitType((1,)) != splitting.Exhaustive((1,))  # same values, other class
     assert pickle.loads(pickle.dumps(v)) == v
-    assert Sampled(3, 4) == Sampled(3, 4, None) and Sampled(3, 4, seed=1).seed == 1
-    assert repr(Sampled(3, 4)) == "Sampled(count=3, degree=4, seed=None)"
+    assert v == splitting.PrimeVerdict(P(F3, 1, 1), v.type_f, v.type_g, None)  # the trailing default
+    assert repr(Sampled(3, 4)) == "Sampled(count=3, degree=4)"
     with pytest.raises(AttributeError):
         v.bad_reason = "x"
     with pytest.raises(AttributeError):
@@ -446,6 +455,8 @@ def test_records_are_frozen_values():
         Sampled(3)
     with pytest.raises(TypeError):
         Sampled(3, 4, count=3)
+    with pytest.raises(TypeError):
+        Sampled(3, 4, seed=1)  # the draw is seeded by compare_split_types alone
     with pytest.raises(TypeError):
         Exhaustive(1, 2)
 
@@ -495,17 +506,17 @@ def test_reductions_keep_no_residue_field(pair1):
 
 def test_sampled_selection(pair1):
     f, g = pair1
-    r1 = compare_split_types(f, g, Sampled(4, 3, seed=7))
-    r2 = compare_split_types(f, g, Sampled(4, 3, seed=7))
+    r1 = compare_split_types(f, g, Sampled(4, 3), seed=7)
+    r2 = compare_split_types(f, g, Sampled(4, 3), seed=7)
     assert r1.render() == r2.render()
     assert len(r1.verdicts) == 4
     assert len({v.prime for v in r1.verdicts}) == 4
     for v in r1.verdicts:
         assert v.prime.degree == 3
         assert is_irreducible(v.prime)
-    # seed=None defers to the global seed
-    r3 = compare_split_types(f, g, Sampled(4, 3), seed=7)
-    assert r3.render() == r1.render()
+    # another seed draws other primes
+    r3 = compare_split_types(f, g, Sampled(4, 3), seed=8)
+    assert {v.prime for v in r3.verdicts} != {v.prime for v in r1.verdicts}
 
 
 def test_irreducible_count_matches_listing():
@@ -572,6 +583,8 @@ def test_split_type_input_errors(pair1):
         split_type(f, P(F3, 1, 2))
     with pytest.raises(ValueError, match="irreducible"):
         split_type(f, P(F3, 2, 0, 1))
+    with pytest.raises(ValueError, match="same base field"):
+        split_type(f, P(F5, 1, 1))
 
 
 class _RecordingPool:

@@ -120,6 +120,8 @@ def test_drinfeld_module_validation():
         TW(F3, P(F3, 0, 1), P(F2, 1))
     rho = carlitz(F3)
     assert rho.rank == 1
+    with pytest.raises(ValueError, match="field mismatch"):
+        rho_eval(rho, P(F2, 1, 1))
     assert rho.image_of_T == TW(F3, P(F3, 0, 1), P(F3, 1))
     assert carlitz(F2).rank == 1
 
@@ -252,6 +254,10 @@ def test_ypoly_ring_basics():
     with pytest.raises(ValueError, match="different field"):
         YPoly(F3, [Poly.x(F3), Poly.one(F2)])
     assert y * Poly.x(F3) == t * y
+    with pytest.raises(ValueError, match="different field"):
+        _ = y * Poly.x(F2)
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        _ = YPoly.zero(F3).leading
     tau = TwistedPoly.tau(F3)
     x = Poly.x(F3)
     for a, b in ((x, y), (y, tau), (tau, y), (x, tau), (tau, x)):
