@@ -23,7 +23,6 @@ from . import _Record
 # loads no module the chosen command does not use.
 if TYPE_CHECKING:
     from .fields import FiniteField
-    from .poly import Poly
 
 PAIR_KEYS = frozenset({"p", "f", "g", "description"})
 
@@ -112,7 +111,7 @@ def cmd_torsion(args) -> int:
 def cmd_factor(args) -> int:
     from .exprs import parse, render_residue_poly
     from .fields import prime_field
-    from .poly import Poly, factor
+    from .poly import Poly, check_factor, factor
     from .splitting import reduce_mod_prime
 
     field = prime_field(args.p)
@@ -123,6 +122,8 @@ def cmd_factor(args) -> int:
 
         text = Path(text[1:]).read_text(encoding="utf-8").strip()
     f = parse(text, "y_poly", field)
+    # the work bound, checked before the residue field is built
+    check_factor(args.p, P.degree, f.degree)
     red = reduce_mod_prime(f, P)
     fac = factor(red, seed=args.seed)
     if fac.unit != red.field.one:
@@ -185,16 +186,10 @@ def cmd_gassmann(args) -> int:
     return 0 if cert.is_gassmann and cert.is_nontrivial else 1
 
 
-def _render_prime(P: Poly) -> str:
-    from .fields import _int_monomials
-
-    # a coefficient is shown by its element index, its value in a prime field
-    return " + ".join(_int_monomials(P.coeffs, "T"))
-
-
 def cmd_primes(args) -> int:
     if args.degree < 1:
         raise ValueError("degree must be at least 1")
+    from .fields import _int_monomials
     from .poly import check_sieve, monic_irreducibles
 
     modulus = _modulus(args)
@@ -203,7 +198,8 @@ def cmd_primes(args) -> int:
         check_sieve(args.p, len(modulus) - 1, args.degree)
     primes = monic_irreducibles(_field_for(args.p, modulus), args.degree)
     for P in primes:
-        print(_render_prime(P))
+        # a coefficient is shown by its element index, its value in a prime field
+        print(" + ".join(_int_monomials(P.coeffs, "T")))
     print(f"count={len(primes)}")
     return 0
 
@@ -215,9 +211,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "prime splitting reports, Gassmann certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options that several subcommands share, each declared once
+    char = argparse.ArgumentParser(add_help=False)
+    char.add_argument("--p", type=int, required=True, help="characteristic")
+    ext = argparse.ArgumentParser(add_help=False)
+    ext.add_argument("--ext-modulus", help="modulus in x for a coefficient field F_{p^m}")
 
-    t = sub.add_parser("torsion", help="torsion polynomial of a Drinfeld module")
-    t.add_argument("--p", type=int, required=True, help="characteristic")
+    t = sub.add_parser("torsion", parents=[char], help="torsion polynomial of a Drinfeld module")
     t.add_argument(
         "--rho", required=True, help="image of T, e.g. 'tau^2 + T*tau + T'"
     )
@@ -227,8 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     t.set_defaults(func=cmd_torsion)
 
-    fa = sub.add_parser("factor", help="factor a y-polynomial modulo a prime")
-    fa.add_argument("--p", type=int, required=True, help="characteristic")
+    fa = sub.add_parser("factor", parents=[char], help="factor a y-polynomial modulo a prime")
     fa.add_argument("--prime", required=True, help="monic irreducible in T")
     fa.add_argument(
         "--poly", required=True, help="y-polynomial expression, or @file to read one"
@@ -252,11 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sc.set_defaults(func=cmd_split_check)
 
-    ga = sub.add_parser("gassmann", help="verify a Gassmann pair of subgroups")
-    ga.add_argument("--p", type=int, required=True, help="characteristic")
-    ga.add_argument(
-        "--ext-modulus", help="modulus in x for a coefficient field F_{p^m}"
-    )
+    ga = sub.add_parser("gassmann", parents=[char, ext], help="verify a Gassmann pair of subgroups")
     ga.add_argument("--n", type=int, required=True, help="matrix dimension")
     ga.add_argument(
         "--construction", choices=["example1", "stabilizers"], required=True
@@ -269,11 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ga.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
     ga.set_defaults(func=cmd_gassmann)
 
-    pr = sub.add_parser("primes", help="list monic irreducibles of one degree")
-    pr.add_argument("--p", type=int, required=True, help="characteristic")
-    pr.add_argument(
-        "--ext-modulus", help="modulus in x for a coefficient field F_{p^m}"
-    )
+    pr = sub.add_parser("primes", parents=[char, ext], help="list monic irreducibles of one degree")
     pr.add_argument("--degree", type=int, required=True)
     pr.set_defaults(func=cmd_primes)
 

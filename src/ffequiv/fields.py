@@ -216,6 +216,16 @@ def _codec(p: int, m: int):
     return pack, unpack
 
 
+def _combine(addmul, coeffs: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """sum_i coeffs[i] * rows[i] on indices, by a field's ``addmul`` kernel,
+    for rows of length at most n: a row times a matrix, untrimmed."""
+    acc = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            addmul(acc, c, row, 0)
+    return acc
+
+
 def _plain_kernels(p: int, modulus: tuple[int, ...]) -> tuple:
     """The table-free ``mul`` and ``pow`` of F_p[x]/(M) on indices, M of
     degree m >= 2; the tables of a small field are built from them.
@@ -663,8 +673,7 @@ def extension_field(p: int, modulus: Sequence[int] | None = None, degree: int | 
     over F_p, checked by Ben-Or's test) or a ``degree`` m >= 2, in which case
     the modulus is the one :func:`_smallest_irreducible` picks.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    prime_field(p)  # refuses a composite p
     if (modulus is None) == (degree is None):
         raise ValueError("supply exactly one of modulus or degree")
     if modulus is None:

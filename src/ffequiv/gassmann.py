@@ -30,7 +30,7 @@ from functools import partial
 from itertools import product
 
 from . import _Record
-from .fields import FieldElement, FiniteField, _least_primitive
+from .fields import FieldElement, FiniteField, _combine, _least_primitive
 
 
 def _row_code(row, q: int) -> int:
@@ -39,16 +39,6 @@ def _row_code(row, q: int) -> int:
     for e in row:
         code = code * q + e
     return code
-
-
-def _row_times(addmul, row, rows) -> list:
-    """The entries of row times the square matrix with the given rows, on
-    indices, by the field's ``addmul`` kernel."""
-    acc = [0] * len(rows)
-    for c, r in zip(row, rows):
-        if c:
-            addmul(acc, c, r, 0)
-    return acc
 
 
 class MatElem:
@@ -123,8 +113,8 @@ class MatElem:
         return FieldElement(self.field, self._gauss_jordan()[0])
 
     def mul(self, other: "MatElem") -> "MatElem":
-        addmul, b = self.field.addmul, other.rows
-        rows = tuple(tuple(_row_times(addmul, r, b)) for r in self.rows)
+        addmul, b, n = self.field.addmul, other.rows, self.n
+        rows = tuple(tuple(_combine(addmul, r, b, n)) for r in self.rows)
         return MatElem._make(self.field, self.n, rows)
 
     def inverse(self) -> "MatElem":
@@ -227,8 +217,8 @@ class MatGroup:
 
     def _act(self, g: MatElem) -> list:
         """The code of row * g for each row code."""
-        q, addmul = self.field.q, self.field.addmul
-        return [_row_code(_row_times(addmul, r, g.rows), q) for r in self._rows]
+        q, addmul, n = self.field.q, self.field.addmul, self.n
+        return [_row_code(_combine(addmul, r, g.rows, n), q) for r in self._rows]
 
     def _enumerate(self, gens):
         """The span of gens from the identity, breadth first a layer at a

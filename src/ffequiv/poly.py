@@ -33,7 +33,7 @@ from array import array
 from typing import Container, Generator, Iterable, Iterator, Sequence
 
 from . import _Record
-from .fields import FieldElement, FiniteField, _codec
+from .fields import PACKED_LIMIT, TABLE_LIMIT, FieldElement, FiniteField, _codec, _combine
 
 
 class _Dense:
@@ -114,8 +114,7 @@ class _Dense:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._czero(self.field)
 
     def _check(self, other: "_Dense"):
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
+        self.field._require_same(other.field)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -236,11 +235,6 @@ class Poly(_Dense):
         p = field.p
         return _mk(field, [v % p for v in ints])
 
-    @classmethod
-    def from_indices(cls, field: FiniteField, idxs: Sequence[int]) -> "Poly":
-        """Coefficients given by their integer encoding in the field."""
-        return cls(field, idxs)
-
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -290,8 +284,7 @@ class Poly(_Dense):
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        lead = self.coeffs[-1]
-        return self if lead == 1 else self._scale(self.field.inv(lead))
+        return _mk(self.field, _monic(self.field, list(self.coeffs)))
 
     def derivative(self) -> "Poly":
         return _mk(self.field, _derivative(self.field, self.coeffs))
@@ -300,12 +293,7 @@ class Poly(_Dense):
         f = self.field
         if x.field != f:
             raise ValueError("evaluation point from a different field")
-        xi = x.index
-        add, mul = f.add, f.mul
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, xi), c)
-        return f.from_index(acc)
+        return f.from_index(_horner(f, self.coeffs, x.index))
 
 
 _mk = Poly._make  # the Poly with coefficient indices cs, trimmed in place
@@ -378,6 +366,20 @@ def _monic(K: FiniteField, a: list[int]) -> list[int]:
     return [mul(c, u) for c in a]
 
 
+def _horner(K: FiniteField, a: Sequence[int], x: int) -> int:
+    """a(x) in K, by Horner's rule with one product for each run of zero
+    coefficients, by x^(k+1) for a run of k: a sparse a costs a product per
+    term, not per degree."""
+    add, mul, power = K.add, K.mul, K.pow
+    acc, k = 0, 1  # k: the products by x owed, one more than the zeros passed
+    for c in reversed(a):
+        if c:
+            acc, k = add(mul(acc, x if k == 1 else power(x, k)), c) if acc else c, 1
+        else:
+            k += 1
+    return mul(acc, power(x, k - 1)) if acc and k > 1 else acc
+
+
 def _derivative(K: FiniteField, a: Sequence[int]) -> list[int]:
     p, mul = K.p, K.mul
     return _trim([mul(c, i % p) for i, c in enumerate(a) if i])
@@ -409,16 +411,6 @@ def _pow_mod(K: FiniteField, a: list[int], e: int, f: list[int]) -> list[int]:
     return out
 
 
-def _linear(K: FiniteField, h: list[int], rows: list[list[int]], n: int) -> list[int]:
-    """sum_i h_i * rows[i], for rows of length at most n."""
-    addmul = K.addmul
-    out = [0] * n
-    for c, row in zip(h, rows):
-        if c:
-            addmul(out, c, row, 0)
-    return _trim(out)
-
-
 def _pth_rows(K: FiniteField, f: list[int]) -> list[list[int]]:
     """y^(p*i) mod f for i < deg f: each row is the last shifted by p and
     reduced, or, for p > 2 deg f, the last times y^p mod f."""
@@ -448,7 +440,7 @@ def _frobenius_powers(K: FiniteField, f: list[int]) -> Generator[list[int], list
     over twice the cheaper route, and only if the powers still wanted can
     repay them.  Over a prime field the p-th power rows are those rows.
     """
-    p, m, power = K.p, K.m, K.pow
+    p, m, power, addmul = K.p, K.m, K.pow, K.addmul
     pth = None if p == 2 else _pth_rows(K, f)
     rows = pth if m == 1 else None
 
@@ -457,7 +449,8 @@ def _frobenius_powers(K: FiniteField, f: list[int]) -> Generator[list[int], list
             if pth is None:
                 h = _rem(K, _mul(K, h, h), f)
             else:
-                h = _linear(K, h if m == 1 else [power(c, p) for c in h], pth, len(f) - 1)
+                h = h if m == 1 else [power(c, p) for c in h]
+                h = _trim(_combine(addmul, h, pth, len(f) - 1))
         return h
 
     cost = m if p == 2 else m / 2  # products mod f in one step
@@ -483,7 +476,7 @@ def _frobenius_powers(K: FiniteField, f: list[int]) -> Generator[list[int], list
             h = frob(h)
             spent += cost
         else:
-            h = _linear(K, h, rows, n)
+            h = _trim(_combine(addmul, h, rows, n))
         taken += 1
 
 
@@ -636,8 +629,9 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
     """Complete factorization; deterministic for a given (f, seed)."""
     if f.degree < 1:
         raise ValueError("cannot factor a constant polynomial")
-    rng = random.Random(seed)
     K = f.field
+    check_factor(K.p, K.m, f.degree)
+    rng = random.Random(seed)
     found = [(_mk(K, h), mult)
              for mult, part in _squarefree_parts(K, _monic(K, list(f.coeffs)))
              for d, prod in _ddf(K, part)
@@ -646,10 +640,40 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
     return Factorization(f.leading, tuple(found))
 
 
+# Most work one factor call takes: n^3 * b * w for degree n over F_q, with
+# q <= 2^b, b = m * ceil(log2 p), and w a weight for the kernels of F_q
+# (splitting two factors of degree n/2 takes about n/2 * log2 q products of
+# degree n).  Sized from the slowest of dense, sparse and two-factor inputs
+# in each tier, so that the limit takes about a minute.
+FACTOR_WORK_LIMIT = 1 << 32
+
+
+def check_factor(p: int, m: int, n: int) -> None:
+    """Refuse factoring a polynomial of degree n over F_q, q = p^m, when its
+    work n^3 * b * w passes FACTOR_WORK_LIMIT (b and w as described there).
+    q is formed only for m <= 16, so this can run before F_q is built."""
+    bits = m * (p - 1).bit_length()
+    q = p**m if m <= 16 else TABLE_LIMIT + 1  # beyond m = 16, q > TABLE_LIMIT for any p
+    if q <= PACKED_LIMIT:
+        weight = 1 if p == 2 else 32  # byte tables, and packed division in characteristic 2
+    elif q <= TABLE_LIMIT or p == 2 or m == 1:
+        weight = 128  # exp/log tables, carry-less products, or ints mod a large p
+    else:
+        weight = 4096  # packed products, unpacked sums
+    work = n**3 * bits * weight
+    if work > FACTOR_WORK_LIMIT:
+        name = p if m == 1 else f"{p}^{m}"
+        raise ValueError(
+            f"factoring a polynomial of degree {n} over GF({name}) is above the work "
+            f"limit of one factorization (degree^3 * bits of q * weight = {n}^3 * {bits} * "
+            f"{weight} = {work} > {FACTOR_WORK_LIMIT})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # enumeration of monic irreducibles
 
-SIEVE_LIMIT = 1 << 24  # most candidates (q^d) that monic_irreducibles sieves
+SIEVE_LIMIT = 1 << 20  # most candidates (q^d) that monic_irreducibles sieves: 10-23 s
 
 
 def check_sieve(p: int, m: int, d: int) -> None:
@@ -658,7 +682,7 @@ def check_sieve(p: int, m: int, d: int) -> None:
     never formed, so this can run before F_q is built and its modulus
     tested."""
     e = m * d
-    # at e >= 25 digits p^e > 2^24
+    # at e >= 21 digits p^e > 2^20
     if e >= SIEVE_LIMIT.bit_length() or p**e > SIEVE_LIMIT:
         name, base = (p, p) if m == 1 else (f"{p}^{m}", f"({p}^{m})")
         raise ValueError(
@@ -673,7 +697,6 @@ def _irr_packed(field: FiniteField, d: int) -> array:
     sieving out products of lower-degree monic polynomials.  Ascending, so
     sorted by coefficients from the leading end.  Nothing is kept: a lower
     degree is sieved again, at most q^(d/2) candidates."""
-    check_sieve(field.p, field.m, d)
     q = field.q
     add, mul, addmul = field.add, field.mul, field.addmul
     mark = bytearray(q**d)
@@ -693,12 +716,7 @@ def _irr_packed(field: FiniteField, d: int) -> array:
             else:
                 uu = unpack(packed) + (1,)
                 for v in itertools.product(range(q), repeat=de):
-                    vv = v + (1,)
-                    acc = [0] * (d + 1)
-                    for i, ui in enumerate(uu):
-                        if ui:
-                            addmul(acc, ui, vv, i)
-                    mark[pack(acc[:d])] = 1
+                    mark[pack(_product(addmul, uu, v + (1,))[:d])] = 1
     return array("I", (idx for idx in range(q**d) if not mark[idx]))
 
 
@@ -707,6 +725,7 @@ def monic_irreducibles(field: FiniteField, d: int) -> list[Poly]:
     from the leading end."""
     if d < 1:
         raise ValueError("degree must be positive")
+    check_sieve(field.p, field.m, d)
     unpack = _codec(field.q, d)[1]
     return [_mk(field, [*unpack(idx), 1]) for idx in _irr_packed(field, d)]
 

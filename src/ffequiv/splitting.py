@@ -35,7 +35,7 @@ from typing import Union
 from . import _Record
 from .exprs import render_tpoly
 from .fields import TABLE_LIMIT, FiniteField, _prime_divisors, _rebuild_field, extension_field, prime_field
-from .poly import Poly, _ddf, _derivative, _gcd, _mk, _monic, _random_irreducibles, is_irreducible
+from .poly import Poly, _ddf, _derivative, _gcd, _horner, _mk, _monic, _random_irreducibles, is_irreducible
 from .twisted import YPoly
 
 
@@ -163,23 +163,11 @@ def _root(P: Poly, table: _Table | None) -> tuple[FiniteField, int]:
 
 
 def _evaluate(f: YPoly, K: FiniteField, alpha: int) -> Poly:
-    """The image of f under T -> alpha, by Horner on indices of K.  For a
-    root alpha of the prime P, T -> alpha is an isomorphism from
-    F_p[T]/(P) onto K, so the image is f mod P up to that isomorphism.
-
-    A run of k zero coefficients costs one product, by alpha^(k+1), so a
-    sparse coefficient costs a product per term, not per degree."""
-    add, mul, power = K.add, K.mul, K.pow
-    out = []
-    for c in f.coeffs:
-        acc, k = 0, 1  # k: the products by alpha owed, one more than the zeros passed
-        for a in reversed(c.coeffs):
-            if a:
-                acc, k = add(mul(acc, alpha if k == 1 else power(alpha, k)), a) if acc else a, 1
-            else:
-                k += 1
-        out.append(mul(acc, power(alpha, k - 1)) if acc and k > 1 else acc)
-    return _mk(K, out)
+    """The image of f under T -> alpha, by Horner on indices of K, one
+    product per run of zero coefficients.  For a root alpha of the prime P,
+    T -> alpha is an isomorphism from F_p[T]/(P) onto K, so the image is
+    f mod P up to that isomorphism."""
+    return _mk(K, [_horner(K, c.coeffs, alpha) for c in f.coeffs])
 
 
 def _classify(f: YPoly, r: Poly) -> SideResult:
@@ -210,8 +198,7 @@ def reduce_mod_prime(f: YPoly, P: Poly) -> Poly:
 
 def split_type(f: YPoly, P: Poly) -> SideResult:
     """Classify one side at one prime: Bad reason or sorted degree multiset."""
-    _check_prime(f, P)
-    return _classify(f, _evaluate(f, *_root(P, None)))
+    return _classify(f, reduce_mod_prime(f, P))
 
 
 def _orbits_pay(p: int, d: int, count: int) -> bool:

@@ -116,8 +116,7 @@ def rho_eval(rho: DrinfeldModule, u: Poly) -> TwistedPoly:
     """The operator rho_u, by Horner evaluation of u at the image of T.
     Constant coefficients commute with everything (they are Frobenius-fixed),
     so the evaluation order is immaterial."""
-    if u.field != rho.field:
-        raise ValueError("field mismatch")
+    rho.field._require_same(u.field)
     f = rho.field
     acc = TwistedPoly.zero(f)
     for c in reversed(u.coeffs):

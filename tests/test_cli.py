@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from ffequiv import fields, gassmann, splitting, twisted
+from ffequiv import fields, gassmann, poly, splitting, twisted
 from ffequiv.cli import _read_pair_source, load_pair, main
 
 DEG8_REPORT = """\
@@ -108,6 +108,31 @@ def test_factor_inert_prime(capsys):
     )
     assert rc == 0
     assert out == "y^8 + 2*y^2 + 2\ntype=[8]\n"
+
+
+def test_factor_refuses_work_that_cannot_finish(capsys, monkeypatch):
+    # each ran for minutes: refused before the residue field is built
+    def refuse(*args):
+        raise AssertionError("reduction started")
+
+    monkeypatch.setattr(splitting, "reduce_mod_prime", refuse)
+    for p, prime, poly_, refused in (
+        ("2", "T", "y^4000 + y + 1", "4000 over GF(2)"),
+        ("3", "T^11 + T^2 + 2", "y^100 + y + T + 1", "100 over GF(3^11)"),
+    ):
+        rc, out, err = run(capsys, ["factor", "--p", p, "--prime", prime, "--poly", poly_])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: factoring a polynomial of degree {refused} is above the work")
+        assert err.count("\n") == 1
+    # the largest degree admitted over F_2, and the benchmark's input over F_4
+    for argv in (["--p", "2", "--prime", "T", "--poly", "y^1625 + y + 1"],
+                 ["--p", "2", "--prime", "T^2 + T + 1", "--poly", "y^255 + y + 1"]):
+        with pytest.raises(AssertionError, match="reduction started"):
+            main(["factor", *argv])
+    rc, _, err = run(capsys, ["factor", "--p", "2", "--prime", "T", "--poly", "y^1626 + y + 1"])
+    assert rc == 2
+    assert err.startswith("error: factoring a polynomial of degree 1626 over GF(2)")
 
 
 def test_factor_split_prime(capsys):
@@ -449,8 +474,34 @@ def test_primes_sieve_bound_before_the_modulus(capsys, monkeypatch):
     assert out == ""
     assert err == (
         "error: listing degree-1 irreducibles over GF(2^999999) sieves (2^999999)^1 "
-        "candidates, more than the limit of 16777216\n"
+        "candidates, more than the limit of 1048576\n"
     )
+
+
+def test_primes_refuses_a_sieve_that_cannot_finish(capsys, monkeypatch):
+    # 4^12 = 2^24 candidates sieved for minutes: refused before the field is
+    # built, and nothing is sieved
+    def refuse(*args):
+        raise AssertionError("sieving started")
+
+    monkeypatch.setattr(poly, "_irr_packed", refuse)
+    # the limit itself is admitted
+    assert poly.SIEVE_LIMIT == 1 << 20
+    for argv in (["--p", "2", "--degree", "20"],
+                 ["--p", "2", "--ext-modulus", "x^2+x+1", "--degree", "10"]):
+        with pytest.raises(AssertionError, match="sieving started"):
+            main(["primes", *argv])
+    monkeypatch.setattr(fields, "extension_field", _refuse_extension_field)
+    for argv, listing in (
+        (["--p", "2", "--ext-modulus", "x^2+x+1", "--degree", "12"],
+         "degree-12 irreducibles over GF(2^2) sieves (2^2)^12"),
+        (["--p", "2", "--degree", "21"], "degree-21 irreducibles over GF(2) sieves 2^21"),
+        (["--p", "3", "--degree", "13"], "degree-13 irreducibles over GF(3) sieves 3^13"),
+    ):
+        rc, out, err = run(capsys, ["primes", *argv])
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: listing {listing} candidates, more than the limit of 1048576\n"
 
 
 def test_primes_bad_degree(capsys):
@@ -462,14 +513,14 @@ def test_primes_bad_degree(capsys):
     assert rc == 2
     assert err == (
         "error: listing degree-40 irreducibles over GF(2) sieves 2^40 candidates, "
-        "more than the limit of 16777216\n"
+        "more than the limit of 1048576\n"
     )
     # a prime p above the sieve limit, found prime at once by Miller-Rabin
     rc, _, err = run(capsys, ["primes", "--p", "1000000000000000003", "--degree", "1"])
     assert rc == 2
     assert err == (
         "error: listing degree-1 irreducibles over GF(1000000000000000003) sieves "
-        "1000000000000000003^1 candidates, more than the limit of 16777216\n"
+        "1000000000000000003^1 candidates, more than the limit of 1048576\n"
     )
     # a p whose primality Miller-Rabin on bases 2..41 does not decide
     rc, _, err = run(capsys, ["primes", "--p", str(10**30 + 57), "--degree", "1"])

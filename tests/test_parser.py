@@ -190,7 +190,7 @@ def test_render_residue_poly():
 
 
 def _rand_tpoly(field, rng, dmax=6):
-    return Poly.from_indices(field, [rng.randrange(field.q) for _ in range(dmax + 1)])
+    return Poly(field, [rng.randrange(field.q) for _ in range(dmax + 1)])
 
 
 def test_roundtrip_tpoly():

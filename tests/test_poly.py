@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from ffequiv import poly
 from ffequiv.fields import extension_field, prime_field
 from ffequiv.poly import (
     Factorization,
@@ -91,8 +93,8 @@ def test_divmod_round_trip_random():
     rng = random.Random(7)
     for field in (F2, F3, F4, F9):
         for _ in range(60):
-            a = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(rng.randrange(1, 10))])
-            b = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(rng.randrange(1, 6))])
+            a = Poly(field, [rng.randrange(field.q) for _ in range(rng.randrange(1, 10))])
+            b = Poly(field, [rng.randrange(field.q) for _ in range(rng.randrange(1, 6))])
             if b.is_zero:
                 continue
             q, r = divmod(a, b)
@@ -112,7 +114,7 @@ def test_divmod_kernel_checked_by_products(field):
 
     def rand(deg, monic=False):
         lead = 1 if monic else rng.randrange(1, q)
-        return Poly.from_indices(field, [rng.randrange(q) for _ in range(deg)] + [lead])
+        return Poly(field, [rng.randrange(q) for _ in range(deg)] + [lead])
 
     cases = []
     for _ in range(150):
@@ -175,6 +177,22 @@ def test_evaluate_and_derivative():
     assert f(F3(0)) == F3(2)
     with pytest.raises(ValueError, match="different field"):
         f(F2.one)
+    # sparse coefficients with long zero runs, each run crossed by one power
+    # of x, against a plain Horner loop: over a prime field, byte tables,
+    # exp/log tables and the table-free kernels
+    rng = random.Random(5)
+    for field in (prime_field(7), F9, F1024, F3_11, F2_17):
+        for _ in range(3):
+            cs = [0] * 400
+            for i in rng.sample(range(400), 4) + [0]:
+                cs[i] = rng.randrange(1, field.q)
+            g = Poly(field, cs)
+            points = [field.from_index(rng.randrange(2, field.q)) for _ in range(2)]
+            for x in [field.zero, field.one, *points]:
+                want = field.zero
+                for c in reversed(cs):
+                    want = want * x + field.from_index(c)
+                assert g(x) == want
     assert f.derivative() == P(F3, 0, 2)
     # derivative kills p-th powers, whose p-th roots the factorization takes
     assert P(F3, 1, 0, 0, 1).derivative() == Poly.zero(F3)
@@ -210,7 +228,7 @@ def test_is_irreducible_examples():
     for field, d in ((F2, 8), (F3, 6), (F4, 5)):
         irreducibles = set(monic_irreducibles(field, d))
         for packed in range(field.q**d):
-            f = Poly.from_indices(field, _digits(packed, field.q, d) + [1])
+            f = Poly(field, _digits(packed, field.q, d) + [1])
             assert is_irreducible(f) == (f in irreducibles), f
 
 
@@ -261,7 +279,7 @@ def test_factor_agrees_with_trial_division_exhaustively():
                 for _ in range(deg):
                     idxs.append(t % q)
                     t //= q
-                f = Poly.from_indices(field, idxs + [1])
+                f = Poly(field, idxs + [1])
                 unit, pairs = _oracle_factor(f)
                 fac = factor(f, seed=packed)
                 assert fac.unit == unit
@@ -274,7 +292,7 @@ def test_factor_reassembly_random():
         for trial in range(500):
             deg = rng.randrange(1, 13)
             idxs = [rng.randrange(field.q) for _ in range(deg)] + [rng.randrange(1, field.q)]
-            f = Poly.from_indices(field, idxs)
+            f = Poly(field, idxs)
             fac = factor(f, seed=trial)
             assert fac.expand() == f
             assert sum(p_.degree * e for p_, e in fac.factors) == f.degree
@@ -287,9 +305,27 @@ def test_factor_reassembly_random():
             assert len(set(p_ for p_, _ in fac.factors)) == len(fac.factors)
 
 
+def test_factor_refuses_work_that_cannot_finish(monkeypatch):
+    # refused before the squarefree split; the weight of each kernel tier
+    # shows in the message
+    def refuse(*args):
+        raise AssertionError("factorization started")
+
+    monkeypatch.setattr(poly, "_squarefree_parts", refuse)
+    for field, n, name, work in ((F2, 1626, "GF(2)", "1626^3 * 1 * 1"),
+                                 (F9, 323, "GF(3^2)", "323^3 * 4 * 32"),
+                                 (F2_17, 126, "GF(2^17)", "126^3 * 17 * 128"),
+                                 (F3_11, 37, "GF(3^11)", "37^3 * 22 * 4096")):
+        with pytest.raises(ValueError, match=rf"over {re.escape(name)} .* = {re.escape(work)} = "):
+            factor(Poly(field, [1] * n + [1]))
+        with pytest.raises(AssertionError, match="factorization started"):
+            factor(Poly(field, [1] * (n - 1) + [1]))
+    assert poly.FACTOR_WORK_LIMIT == 1 << 32
+
+
 def test_factor_deterministic_given_seed():
     rng = random.Random(4)
-    f = Poly.from_indices(F9, [rng.randrange(9) for _ in range(10)] + [1])
+    f = Poly(F9, [rng.randrange(9) for _ in range(10)] + [1])
     assert factor(f, seed=123) == factor(f, seed=123)
 
 
@@ -377,8 +413,8 @@ def test_pow_mod():
     rng = random.Random(5)
     for field in (F2, F3, F9):
         for _ in range(2):
-            m = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(4)] + [rng.randrange(1, field.q)])
-            b = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(3)])
+            m = Poly(field, [rng.randrange(field.q) for _ in range(4)] + [rng.randrange(1, field.q)])
+            b = Poly(field, [rng.randrange(field.q) for _ in range(3)])
             for e in range(41):
                 assert pow_mod(b, e, m) == (b**e) % m, (field, e)
 
@@ -424,7 +460,7 @@ def test_distinct_degree_matches_reference():
                              (F10007, 8, 3)):
         done = 0
         while done < trials:
-            f = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(n)] + [1])
+            f = Poly(field, [rng.randrange(field.q) for _ in range(n)] + [1])
             if not poly_gcd(f, f.derivative()).is_one:
                 continue
             assert list(_ddf(field, list(f.coeffs))) == _distinct_degree_reference(f), f
@@ -460,7 +496,7 @@ def test_ddf_first_degree_is_least_factor_degree():
     for field, top, trials in ((F2, 10, 60), (F3, 10, 40), (F4, 10, 30), (F9, 10, 20), (F1024, 3, 10)):
         for _ in range(trials):
             n = rng.randint(1, top)
-            cases.append(Poly.from_indices(field, [rng.randrange(field.q) for _ in range(n)] + [1]))
+            cases.append(Poly(field, [rng.randrange(field.q) for _ in range(n)] + [1]))
     # squares and cubes: not squarefree, so the later pairs may be wrong
     for field, dg, dh in ((F2, 3, 2), (F3, 2, 3), (F4, 1, 3), (F9, 2, 1), (F1024, 1, 1)):
         g, h = random_irreducible(field, dg, seed=1), random_irreducible(field, dh, seed=2)

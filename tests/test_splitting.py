@@ -266,7 +266,7 @@ def test_degree_one_oracle(pair1):
     polys = [f, g]
     for _ in range(6):
         cs = [
-            Poly.from_indices(F3, [rng.randrange(3) for _ in range(3)]) for _ in range(4)
+            Poly(F3, [rng.randrange(3) for _ in range(3)]) for _ in range(4)
         ]
         if all(c.is_zero for c in cs):
             continue
@@ -353,7 +353,7 @@ def test_orbit_roots_cover_every_prime(p):
         assert len(roots) == irreducible_count(p, d)
         assert splitting._orbit_roots(p, d) == (K, roots)
         for key, alpha in roots.items():
-            P = Poly.from_indices(base, key)
+            P = Poly(base, key)
             assert P.is_monic and P.degree == d
             assert is_irreducible(P)
             assert Poly(K, key)(K.from_index(alpha)).is_zero, (P, alpha)

@@ -78,7 +78,7 @@ def _random_twisted(field, rng, max_tau_deg=2, max_coeff_deg=2):
     cs = []
     for _ in range(rng.randrange(1, max_tau_deg + 2)):
         cs.append(
-            Poly.from_indices(field, [rng.randrange(field.q) for _ in range(max_coeff_deg + 1)])
+            Poly(field, [rng.randrange(field.q) for _ in range(max_coeff_deg + 1)])
         )
     return TwistedPoly(field, cs)
 
@@ -159,8 +159,8 @@ def test_rho_eval_homomorphism_carlitz():
         rng = random.Random(100 + field.q)
         rho = carlitz(field)
         for _ in range(100):
-            u = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(5)])
-            v = Poly.from_indices(field, [rng.randrange(field.q) for _ in range(5)])
+            u = Poly(field, [rng.randrange(field.q) for _ in range(5)])
+            v = Poly(field, [rng.randrange(field.q) for _ in range(5)])
             assert rho_eval(rho, u + v) == rho_eval(rho, u) + rho_eval(rho, v)
             assert rho_eval(rho, u * v) == rho_eval(rho, u) * rho_eval(rho, v)
 
@@ -169,8 +169,8 @@ def test_rho_eval_homomorphism_rank2():
     rho = DrinfeldModule(TW(F3, P(F3, 0, 1), P(F3, 1), P(F3, 1)))
     rng = random.Random(55)
     for _ in range(20):
-        u = Poly.from_indices(F3, [rng.randrange(3) for _ in range(3)])
-        v = Poly.from_indices(F3, [rng.randrange(3) for _ in range(3)])
+        u = Poly(F3, [rng.randrange(3) for _ in range(3)])
+        v = Poly(F3, [rng.randrange(3) for _ in range(3)])
         assert rho_eval(rho, u + v) == rho_eval(rho, u) + rho_eval(rho, v)
         assert rho_eval(rho, u * v) == rho_eval(rho, u) * rho_eval(rho, v)
 
@@ -212,8 +212,8 @@ def _random_module(field, rng, max_rank=2):
     r = rng.randrange(1, max_rank + 1)
     cs = [Poly.x(field)]
     for _ in range(r - 1):
-        cs.append(Poly.from_indices(field, [rng.randrange(field.q) for _ in range(2)]))
-    cs.append(Poly.from_indices(field, [rng.randrange(1, field.q)]))
+        cs.append(Poly(field, [rng.randrange(field.q) for _ in range(2)]))
+    cs.append(Poly(field, [rng.randrange(1, field.q)]))
     return DrinfeldModule(TwistedPoly(field, cs))
 
 
@@ -224,7 +224,7 @@ def test_torsion_additive_shape_random():
         for _ in range(25):
             rho = _random_module(field, rng)
             deg_a = rng.randrange(1, 3)
-            a = Poly.from_indices(
+            a = Poly(
                 field, [rng.randrange(q) for _ in range(deg_a)] + [rng.randrange(1, q)]
             )
             tor = torsion_polynomial(rho, a)
