@@ -13,15 +13,17 @@ input or usage.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import TYPE_CHECKING
 
 from . import _Record
 
 # Annotations only: each command imports what it runs, so that a start-up
-# loads no module the chosen command does not use.
+# loads no module the chosen command does not use, and argparse loads only
+# to parse a command line.
 if TYPE_CHECKING:
+    import argparse
+
     from .fields import FiniteField
 
 PAIR_KEYS = frozenset({"p", "f", "g", "description"})
@@ -155,7 +157,7 @@ def cmd_split_check(args) -> int:
 
 
 def cmd_gassmann(args) -> int:
-    from .gassmann import build_gl, check_cap, stabilizer_pair, verify_gassmann
+    from .gassmann import build_gl, check_cap, example1_subgroups, stabilizer_pair, verify_gassmann
 
     # every refusal that needs no field comes before the modulus is tested
     if args.construction == "example1":
@@ -172,16 +174,16 @@ def cmd_gassmann(args) -> int:
     if modulus is not None:
         check_cap(args.p, len(modulus) - 1, args.n, args.cap)
     field = _field_for(args.p, modulus)
-    if args.construction == "example1" and field.p == 2:
-        raise ValueError("example 1 requires a prime field with p > 2")
-    gen = None
-    if args.scalar_subgroup != "1":
-        from .exprs import parse_element
+    if args.construction == "example1":
+        H, Hp = example1_subgroups(field, cap=args.cap)
+    else:
+        gen = None
+        if args.scalar_subgroup != "1":
+            from .exprs import parse_element
 
-        gen = parse_element(args.scalar_subgroup, field)
-    G = build_gl(args.n, field, scalar_generator=gen, cap=args.cap)
-    H, Hp = stabilizer_pair(G)
-    cert = verify_gassmann(G, H, Hp)
+            gen = parse_element(args.scalar_subgroup, field)
+        H, Hp = stabilizer_pair(build_gl(args.n, field, scalar_generator=gen, cap=args.cap))
+    cert = verify_gassmann(H.parent, H, Hp)
     print(cert.render())
     return 0 if cert.is_gassmann and cert.is_nontrivial else 1
 
@@ -205,6 +207,8 @@ def cmd_primes(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ffequiv",
         description="Split equivalence of function fields: torsion polynomials, "

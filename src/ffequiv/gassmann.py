@@ -473,12 +473,13 @@ class Subgroup:
         return len(self.members)
 
 
-def example1_subgroups(field: FiniteField):
+def example1_subgroups(field: FiniteField, cap: int = 10**6):
     """The paper's Example 1, H = [[1,*],[0,*]] and H' = [[*,*],[0,1]] in
-    GL_2(F_p), p > 2: the stabilizer pair of GL_2(F_p)."""
+    GL_2(F_p), p > 2: the stabilizer pair of GL_2(F_p), whose order
+    build_gl bounds by cap."""
     if field.m != 1 or field.p <= 2:
         raise ValueError("example 1 requires a prime field with p > 2")
-    return stabilizer_pair(build_gl(2, field))
+    return stabilizer_pair(build_gl(2, field, cap=cap))
 
 
 def stabilizer_pair(G: MatGroup):

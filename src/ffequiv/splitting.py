@@ -105,6 +105,14 @@ def _check_prime(f: YPoly, P: Poly):
         raise ValueError("P must be irreducible")
     if P.field is not f.field:
         raise ValueError("P must live over the same base field as f")
+    _check_base(f.field)
+
+
+def _check_base(field: FiniteField):
+    """Refuse a base field F_{p^m}, m > 1: the residue fields, F_p[T]/(P)
+    or the orbit walk's K_d, are built over F_p only."""
+    if field.m != 1:
+        raise ValueError("reduction is implemented over prime base fields only")
 
 
 # K_d and {P.coeffs: the index of a root of P in K_d} for the primes P of degree d
@@ -149,14 +157,12 @@ def _root(P: Poly, table: _Table | None) -> tuple[FiniteField, int]:
     """A field K of order p^d and the index of a root of P in it, for a
     prime P of degree d over a prime field: K_d and P's root from the table
     of its degree, or without one, F_p[T]/(P), where the class of T is a
-    root, or the base field, where -c_0 is the root of T + c_0.  P is not
-    tested here: every caller has a prime already."""
+    root, or the base field, where -c_0 is the root of T + c_0.  P and its
+    base field are not tested here: every caller has checked them."""
     if table is not None:
         K, roots = table
         return K, roots[P.coeffs]
     base = P.field
-    if base.m != 1:
-        raise ValueError("reduction is implemented over prime base fields only")
     if P.degree == 1:
         return base, base.neg(P.coeffs[0])
     return _rebuild_field(base.p, P.coeffs), base.p
@@ -252,8 +258,7 @@ def _select_primes(field: FiniteField, selection: PrimeSelection,
                    seed: int) -> tuple[list[Poly], dict[int, _Table]]:
     """The primes of the selection, and the tables of their degrees.  Every
     degree >= 2 that PRIME_COUNT_LIMIT admits has p^d <= TABLE_LIMIT."""
-    if field.m != 1:
-        raise ValueError("reduction is implemented over prime base fields only")
+    _check_base(field)
     if isinstance(selection, Exhaustive):
         if selection.max_degree < 1:
             raise ValueError("empty prime selection")

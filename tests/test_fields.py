@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ffequiv._extension import _plain_kernels
 from ffequiv.fields import (
     PRIME_LIMIT,
     PACKED_LIMIT,
@@ -12,7 +13,6 @@ from ffequiv.fields import (
     _FIELD_CACHE,
     FiniteField,
     _least_primitive,
-    _plain_kernels,
     extension_field,
     is_prime,
     prime_field,

@@ -63,15 +63,20 @@ ALL = [
     "verify_gassmann",
 ]
 
-# Runs argv through cli.main (None: only import ffequiv) and prints, as JSON,
-# the exit code, the loaded ffequiv modules, whether the pool's module is in,
-# and which of the slow standard modules dataclasses and inspect are in.
+# Runs argv through cli.main (None: only import ffequiv; a string: load that
+# shipped pair through cli.load_pair, as a library caller does) and prints, as
+# JSON, the exit code, the loaded ffequiv modules, whether the pool's module
+# and argparse are in, and which of the slow standard modules dataclasses and
+# inspect are in.
 PROBE = """
 import json, sys
 argv = json.loads(sys.argv[1])
 code = None
 if argv is None:
     import ffequiv
+elif isinstance(argv, str):
+    from ffequiv.cli import _read_pair_source, load_pair
+    load_pair(_read_pair_source(argv))
 else:
     from ffequiv import cli
     try:
@@ -82,6 +87,7 @@ print(json.dumps({
     "code": code,
     "modules": sorted(k for k in sys.modules if k.split(".")[0] == "ffequiv"),
     "pool": "concurrent.futures.process" in sys.modules,
+    "argparse": "argparse" in sys.modules,
     "slow": [m for m in ("dataclasses", "inspect") if m in sys.modules],
 }))
 """
@@ -107,10 +113,19 @@ def _names(*modules):
     "argv, code, modules",
     [
         (None, None, _names()),
+        # a library caller of load_pair loads neither argparse nor the
+        # extension-field kernels
+        ("gl2_f3_deg8", None, _names("cli", "exprs", "fields", "poly", "twisted")),
         (
             ["gassmann", "--p", "2", "--n", "2", "--construction", "stabilizers"],
             1,
             _names("cli", "fields", "gassmann"),
+        ),
+        # the first extension field loads its kernels' module
+        (
+            ["gassmann", "--p", "2", "--ext-modulus", "x^2+x+1", "--n", "2", "--construction", "stabilizers"],
+            0,
+            _names("_extension", "cli", "exprs", "fields", "gassmann", "poly", "twisted"),
         ),
         (
             ["torsion", "--p", "3", "--rho", "tau^2 + T*tau + T", "--a", "T"],
@@ -134,13 +149,16 @@ def _names(*modules):
         ),
         (["gassmann", "--p", "2"], 2, _names("cli")),
     ],
-    ids=["import", "gassmann", "torsion", "factor", "split-check", "primes", "usage-error"],
+    ids=["import", "load-pair", "gassmann", "gassmann-extension", "torsion", "factor",
+         "split-check", "primes", "usage-error"],
 )
 def test_subcommand_import_footprint(argv, code, modules):
     got = _footprint(argv)
     assert got["code"] == code
     assert got["modules"] == modules
     assert got["pool"] is False
+    # argparse (and the gettext it loads) is for parsing a command line only
+    assert got["argparse"] is isinstance(argv, list)
     # importing dataclasses loads inspect, ast, dis and tokenize: about 13 ms
     # of every start-up
     assert got["slow"] == []
