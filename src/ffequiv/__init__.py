@@ -7,8 +7,6 @@ submodule, and ``ffequiv.X`` or ``from ffequiv import X`` imports X's home
 module then.
 """
 
-from importlib import import_module
-
 # Each exported name and the module that defines it.
 _HOME_OF = {
     "DrinfeldModule": "twisted",
@@ -21,7 +19,7 @@ _HOME_OF = {
     "MatElem": "gassmann",
     "MatGroup": "gassmann",
     "ParseError": "exprs",
-    "Poly": "poly",
+    "Poly": "_dense",
     "PrimeVerdict": "splitting",
     "Sampled": "splitting",
     "SideResult": "splitting",
@@ -64,7 +62,9 @@ def __getattr__(name: str):
     module = _HOME_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
+    # __import__, not importlib.import_module: the import statement's path,
+    # which -X importtime reports
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     globals()[name] = value
     return value
 

@@ -23,16 +23,18 @@ rejected instead of silently rewritten.
 from __future__ import annotations
 
 import operator
+from typing import TYPE_CHECKING
 
-from .fields import FieldElement, FiniteField, _int_monomials, prime_field
-from .poly import Poly
-from .twisted import TORSION_LIMIT, TwistedPoly, YPoly
+from .fields import DEGREE_LIMIT, FieldElement, FiniteField, _int_monomials, prime_field
+
+# Annotations only: parse imports each ring when it builds a value in it, so
+# that parse_element compiles no polynomial code.
+if TYPE_CHECKING:
+    from ._dense import Poly
+    from .twisted import TwistedPoly, YPoly
 
 _SYMBOLS = ("T", "y", "tau", "x")
 MAX_NESTING = 100
-# Largest degree in y, tau or T that a parsed value may reach; the y-degree
-# of any torsion_polynomial output is within it.
-DEGREE_LIMIT = TORSION_LIMIT
 _MODE_SYMBOLS = {
     "t_poly": ("T",),
     "y_poly": ("T", "y"),
@@ -168,13 +170,9 @@ def _not_allowed(name: str, mode: str, pos: int) -> ParseError:
     return ParseError(f"symbol '{name}' is not allowed in {mode} mode", pos)
 
 
-def _degrees(value) -> tuple[int, int]:
-    """The degree of a parsed value in its variable (y, tau or T) and the
-    largest T-degree of its coefficients; a field element has (0, 0)."""
-    if isinstance(value, FieldElement):
-        return 0, 0
-    if isinstance(value, Poly):
-        return value.degree, 0
+def _over_t_degrees(value) -> tuple[int, int]:
+    """The degree of a YPoly or TwistedPoly in y or tau and the largest
+    T-degree of its coefficients."""
     return value.degree, max((len(c.coeffs) for c in value.coeffs), default=0) - 1
 
 
@@ -192,9 +190,11 @@ def _monomial(var, e: int):
     return var._make(var.field, [var.coeffs[0]] * e + [c])
 
 
-def _eval_commutative(node, consts, env, mode):
+def _eval_commutative(node, consts, env, mode, degrees):
     """Evaluate the AST with the ring operators of the values; before each
-    product and power, refuse a result above DEGREE_LIMIT."""
+    product and power, refuse a result above DEGREE_LIMIT.  degrees(value)
+    is the degree of a value in its variable (y, tau or T) and the largest
+    T-degree of its coefficients."""
     kind = node[0]
     if kind == "nat":
         return consts(node[2])
@@ -204,23 +204,23 @@ def _eval_commutative(node, consts, env, mode):
             raise _not_allowed(name, mode, node[1])
         return env[name]
     if kind in ("sum", "prod"):
-        vals = (_eval_commutative(t, consts, env, mode) for t in node[2])
+        vals = (_eval_commutative(t, consts, env, mode, degrees) for t in node[2])
         acc = next(vals)
         for v in vals:
             if kind == "sum":
                 acc = acc + v
             else:
-                _within_limit(map(operator.add, _degrees(acc), _degrees(v)), node[1])
+                _within_limit(map(operator.add, degrees(acc), degrees(v)), node[1])
                 acc = acc * v
         return acc
     if kind == "pow":
-        base, e = _eval_commutative(node[2], consts, env, mode), node[3]
-        _within_limit((d * e for d in _degrees(base)), node[1])
+        base, e = _eval_commutative(node[2], consts, env, mode, degrees), node[3]
+        _within_limit((d * e for d in degrees(base)), node[1])
         if node[2][0] == "sym" and not isinstance(base, FieldElement):
             return _monomial(base, e)
         return base**e
     if kind == "neg":
-        return -_eval_commutative(node[2], consts, env, mode)
+        return -_eval_commutative(node[2], consts, env, mode, degrees)
     raise AssertionError(f"unhandled node {kind}")
 
 
@@ -271,11 +271,16 @@ def parse(text: str, mode: str, field: FiniteField):
     if mode not in _MODE_SYMBOLS:
         raise ValueError(f"unknown parse mode {mode!r}")
     ast = _Parser(text).parse()
+    from ._dense import Poly
+
     if mode in ("t_poly", "x_poly"):
         (var,) = _MODE_SYMBOLS[mode]
         return _eval_commutative(
-            ast, lambda n: Poly.constant(field, field(n)), {var: Poly.x(field)}, mode
+            ast, lambda n: Poly.constant(field, field(n)), {var: Poly.x(field)}, mode,
+            lambda v: (v.degree, 0),
         )
+    from .twisted import TwistedPoly, YPoly
+
     if mode == "twisted":
         _check_twisted(ast)
         ring, var = TwistedPoly, "tau"
@@ -283,7 +288,8 @@ def parse(text: str, mode: str, field: FiniteField):
         ring, var = YPoly, "y"
     env = {"T": ring.constant(field, Poly.x(field)), var: ring.x(field)}
     return _eval_commutative(
-        ast, lambda n: ring.constant(field, Poly.constant(field, field(n))), env, mode
+        ast, lambda n: ring.constant(field, Poly.constant(field, field(n))), env, mode,
+        _over_t_degrees,
     )
 
 
@@ -300,7 +306,7 @@ def parse_element(text: str, field: FiniteField) -> FieldElement:
     """
     ast = _Parser(text).parse()
     env = {"x": field.gen} if field.m > 1 else {}
-    return _eval_commutative(ast, field, env, "x_poly")
+    return _eval_commutative(ast, field, env, "x_poly", lambda v: (0, 0))
 
 
 def render_tpoly(poly: Poly, var: str = "T") -> str:

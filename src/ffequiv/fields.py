@@ -44,6 +44,10 @@ TABLE_LIMIT = 1 << 16
 # bytes), and of a field of characteristic 2 whose division kernel packs one
 # coefficient a byte.
 PACKED_LIMIT = 1 << 8
+# Largest degree that a torsion polynomial or a parsed value may reach
+# (twisted.TORSION_LIMIT, exprs.DEGREE_LIMIT): one limit, so that torsion
+# output parses again.
+DEGREE_LIMIT = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -343,7 +347,8 @@ def prime_field(p: int) -> FiniteField:
 def _is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
     """Ben-Or's test on the integer coefficients (low degree first) of a
     monic polynomial over F_p."""
-    from .poly import Poly, is_irreducible  # poly imports this module
+    from ._dense import Poly  # _dense and poly import this module
+    from .poly import is_irreducible
 
     return is_irreducible(Poly.from_ints(prime_field(p), coeffs))
 

@@ -21,9 +21,9 @@ of zero coefficients.  A sampled selection with a table accepts a random
 candidate by looking it up in the table, not by Ben-Or's test.
 
 A Good reduction is squarefree, so its splitting type follows from
-distinct-degree factorization alone, run on coefficient lists by the list
-core of :mod:`ffequiv.poly`; no factor is ever split further and nothing on
-this path is randomized.
+distinct-degree factorization alone, run on coefficient lists by the
+algorithms of :mod:`ffequiv.poly`; no factor is ever split further and
+nothing on this path is randomized.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ import random
 from typing import Union
 
 from . import _Record
+from ._dense import Poly, _derivative, _horner, _mk, _monic
 from .exprs import render_tpoly
 from .fields import TABLE_LIMIT, FiniteField, _prime_divisors, _rebuild_field, extension_field, prime_field
-from .poly import Poly, _ddf, _derivative, _gcd, _horner, _mk, _monic, _random_irreducibles, is_irreducible
+from .poly import _ddf, _gcd, _random_irreducibles, is_irreducible
 from .twisted import YPoly
 
 

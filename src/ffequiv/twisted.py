@@ -13,8 +13,8 @@ from __future__ import annotations
 import operator
 from typing import Iterable
 
-from .fields import FiniteField
-from .poly import Poly, _Dense, _mk
+from ._dense import Poly, _Dense, _mk
+from .fields import DEGREE_LIMIT, FiniteField
 
 
 def _frob_power(b: Poly, i: int) -> Poly:
@@ -124,7 +124,7 @@ def rho_eval(rho: DrinfeldModule, u: Poly) -> TwistedPoly:
     return acc
 
 
-TORSION_LIMIT = 1 << 20  # largest y-degree q^(rank*deg a) that torsion_polynomial builds
+TORSION_LIMIT = DEGREE_LIMIT  # largest y-degree q^(rank*deg a) that torsion_polynomial builds
 
 
 def torsion_polynomial(rho: DrinfeldModule, a: Poly, strip_trivial_root: bool = False) -> YPoly:

@@ -64,16 +64,20 @@ ALL = [
 ]
 
 # Runs argv through cli.main (None: only import ffequiv; a string: load that
-# shipped pair through cli.load_pair, as a library caller does) and prints, as
-# JSON, the exit code, the loaded ffequiv modules, whether the pool's module
-# and argparse are in, and which of the slow standard modules dataclasses and
-# inspect are in.
+# shipped pair through cli.load_pair, as a library caller does; an int p:
+# import parse and prime_field and build F_p, as the benchmark's set-up probe
+# does) and prints, as JSON, the exit code, the loaded ffequiv modules,
+# whether the pool's module and argparse are in, and which of the slow
+# standard modules dataclasses and inspect are in.
 PROBE = """
 import json, sys
 argv = json.loads(sys.argv[1])
 code = None
 if argv is None:
     import ffequiv
+elif isinstance(argv, int):
+    from ffequiv import parse, prime_field
+    prime_field(argv)
 elif isinstance(argv, str):
     from ffequiv.cli import _read_pair_source, load_pair
     load_pair(_read_pair_source(argv))
@@ -113,44 +117,54 @@ def _names(*modules):
     "argv, code, modules",
     [
         (None, None, _names()),
+        # importing the parser builds no ring until it parses a polynomial
+        (7, None, _names("exprs", "fields")),
         # a library caller of load_pair loads neither argparse nor the
-        # extension-field kernels
-        ("gl2_f3_deg8", None, _names("cli", "exprs", "fields", "poly", "twisted")),
+        # extension-field kernels, and parsing needs the rings, not the
+        # polynomial algorithms
+        ("gl2_f3_deg8", None, _names("_dense", "cli", "exprs", "fields", "twisted")),
         (
             ["gassmann", "--p", "2", "--n", "2", "--construction", "stabilizers"],
             1,
             _names("cli", "fields", "gassmann"),
         ),
-        # the first extension field loads its kernels' module
+        # a field element is parsed without a polynomial ring
+        (
+            ["gassmann", "--p", "7", "--n", "2", "--construction", "stabilizers", "--scalar-subgroup", "6"],
+            0,
+            _names("cli", "exprs", "fields", "gassmann"),
+        ),
+        # the first extension field loads its kernels' module, and Ben-Or's
+        # test of the modulus the polynomial algorithms
         (
             ["gassmann", "--p", "2", "--ext-modulus", "x^2+x+1", "--n", "2", "--construction", "stabilizers"],
             0,
-            _names("_extension", "cli", "exprs", "fields", "gassmann", "poly", "twisted"),
+            _names("_dense", "_extension", "cli", "exprs", "fields", "gassmann", "poly"),
         ),
         (
             ["torsion", "--p", "3", "--rho", "tau^2 + T*tau + T", "--a", "T"],
             0,
-            _names("cli", "exprs", "fields", "poly", "twisted"),
+            _names("_dense", "cli", "exprs", "fields", "twisted"),
         ),
         (
             ["factor", "--p", "3", "--prime", "T + 1", "--poly", "y^2 + T"],
             0,
-            _names("cli", "exprs", "fields", "poly", "splitting", "twisted"),
+            _names("_dense", "cli", "exprs", "fields", "poly", "splitting", "twisted"),
         ),
         (
             ["split-check", "--pair", "gl2_f3_deg8", "--max-degree", "1", "--jobs", "1"],
             0,
-            _names("cli", "exprs", "fields", "poly", "splitting", "twisted"),
+            _names("_dense", "cli", "exprs", "fields", "poly", "splitting", "twisted"),
         ),
         (
             ["primes", "--p", "3", "--degree", "2"],
             0,
-            _names("cli", "fields", "poly"),
+            _names("_dense", "cli", "fields", "poly"),
         ),
         (["gassmann", "--p", "2"], 2, _names("cli")),
     ],
-    ids=["import", "load-pair", "gassmann", "gassmann-extension", "torsion", "factor",
-         "split-check", "primes", "usage-error"],
+    ids=["import", "setup-probe", "load-pair", "gassmann", "gassmann-scalar", "gassmann-extension",
+         "torsion", "factor", "split-check", "primes", "usage-error"],
 )
 def test_subcommand_import_footprint(argv, code, modules):
     got = _footprint(argv)
