@@ -75,23 +75,21 @@ def __dir__() -> list[str]:
 
 class _Record:
     """Base of the immutable value records: a subclass names its fields in
-    ``__slots__`` and the defaults of trailing ones in ``_defaults``.
+    ``__slots__``, and every field is given.
     Records are built from positional or keyword arguments, compare and
     hash by class and values, refuse assignment, and pickle through their
     constructor.  Not ``dataclasses``, which loads ``inspect`` at start-up.
     """
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
         given = dict(zip(names, args), **kwargs)
-        if len(args) > len(names) or len(given) < len(args) + len(kwargs) or not (
-                set(names) - self._defaults.keys() <= given.keys() <= set(names)):
+        if len(given) < len(args) + len(kwargs) or given.keys() != set(names):
             raise TypeError(f"{type(self).__name__} takes the fields {names}")
         for name in names:
-            object.__setattr__(self, name, given[name] if name in given else self._defaults[name])
+            object.__setattr__(self, name, given[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

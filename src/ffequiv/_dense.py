@@ -2,7 +2,8 @@
 other polynomial computation here share.
 
 One dense class, ``_Dense``, holds the arithmetic of every polynomial ring
-here and reaches the coefficients through kernels named as a field's.  A
+here, reaches the coefficients through kernels named as a field's, and
+converts them at its boundary through two hooks, ``_entries`` and ``_out``.  A
 :class:`Poly` holds each coefficient as its integer index in the field
 (see :mod:`ffequiv.fields`), and its field's int kernels are those of the
 coefficient ring; the rings over F_q[T] live in :mod:`ffequiv.twisted`.
@@ -33,29 +34,31 @@ class _Dense:
     field, and ``_scalar``, the coefficient type that ``*`` treats as a
     scalar.  ``_twist(c, i)`` moves a coefficient c past the i-th power of
     the variable; it is None in a commutative ring.
+
+    Coefficients cross the boundary through two hooks: ``_entries(field,
+    coeffs)`` is the checked list that the constructor stores and ``scale``
+    multiplies by, and ``_out(field, c)`` is a stored coefficient as
+    ``leading`` and ``coeff`` return it.
     """
 
     __slots__ = ("field", "coeffs")
     _ring = None
     _scalar: type | tuple = ()
     _twist = None
+    _entries = staticmethod(lambda field, coeffs: list(coeffs))
+    _out = staticmethod(lambda field, c: c)
 
     def __init__(self, field: FiniteField, coeffs: Iterable = ()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trim(self._entries(field, coeffs)))
 
     @classmethod
     def _make(cls, field: FiniteField, cs: list):
         """The polynomial with coefficient list cs, trimmed in place and
         not checked."""
-        while cs and not cs[-1]:
-            cs.pop()
         out = object.__new__(cls)
         out.field = field
-        out.coeffs = tuple(cs)
+        out.coeffs = tuple(_trim(cs))
         return out
 
     @classmethod
@@ -91,10 +94,11 @@ class _Dense:
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._out(self.field, self.coeffs[-1])
 
     def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._czero(self.field)
+        c = self.coeffs[i] if 0 <= i < len(self.coeffs) else self._czero(self.field)
+        return self._out(self.field, c)
 
     def _check(self, other: "_Dense"):
         self.field._require_same(other.field)
@@ -149,7 +153,7 @@ class _Dense:
         """Coefficient-wise product with the scalar c."""
         if c.field != self.field:
             raise ValueError("scalar from a different field")
-        return self._scale(c)
+        return self._scale(self._entries(self.field, (c,))[0])
 
     def _scale(self, c):
         f = self.field
@@ -200,17 +204,16 @@ class Poly(_Dense):
     ``coeffs`` holds each coefficient's integer index in the field, and
     the field's int kernels are the coefficient ring's.  The constructor
     takes indices or FieldElements of the field, each through the field's
-    entry check (``FiniteField._index_of``); ``leading``, ``coeff`` and
-    evaluation give FieldElements back.
+    entry check (``FiniteField._index_of``, as ``_entries``); ``leading``
+    and ``coeff`` (through ``_out``) and evaluation give FieldElements back.
     """
 
     __slots__ = ()
     _czero = staticmethod(lambda field: 0)
     _cone = staticmethod(lambda field: 1)
     _scalar = FieldElement
-
-    def __init__(self, field: FiniteField, coeffs: Iterable = ()):
-        super().__init__(field, map(field._index_of, coeffs))
+    _entries = staticmethod(lambda field, coeffs: list(map(field._index_of, coeffs)))
+    _out = staticmethod(FiniteField.from_index)
 
     @classmethod
     def from_ints(cls, field: FiniteField, ints: Sequence[int]) -> "Poly":
@@ -221,21 +224,6 @@ class Poly(_Dense):
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @property
-    def leading(self) -> FieldElement:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.field.from_index(self.coeffs[-1])
-
-    def coeff(self, i: int) -> FieldElement:
-        return self.field.from_index(self.coeffs[i] if 0 <= i < len(self.coeffs) else 0)
-
-    def scale(self, c: FieldElement) -> "Poly":
-        """Coefficient-wise product with the scalar c."""
-        if c.field != self.field:
-            raise ValueError("scalar from a different field")
-        return self._scale(c.index)
 
     def __mul__(self, other):
         if isinstance(other, Poly) and other.field is self.field:

@@ -166,8 +166,8 @@ class _Parser:
         return node
 
 
-def _not_allowed(name: str, mode: str, pos: int) -> ParseError:
-    return ParseError(f"symbol '{name}' is not allowed in {mode} mode", pos)
+def _not_allowed(name: str, where: str, pos: int) -> ParseError:
+    return ParseError(f"symbol '{name}' is not allowed {where}", pos)
 
 
 def _over_t_degrees(value) -> tuple[int, int]:
@@ -190,21 +190,22 @@ def _monomial(var, e: int):
     return var._make(var.field, [var.coeffs[0]] * e + [c])
 
 
-def _eval_commutative(node, consts, env, mode, degrees):
+def _eval_commutative(node, consts, env, where, degrees):
     """Evaluate the AST with the ring operators of the values; before each
     product and power, refuse a result above DEGREE_LIMIT.  degrees(value)
     is the degree of a value in its variable (y, tau or T) and the largest
-    T-degree of its coefficients."""
+    T-degree of its coefficients.  A symbol outside env is refused as not
+    allowed ``where``."""
     kind = node[0]
     if kind == "nat":
         return consts(node[2])
     if kind == "sym":
         name = node[2]
         if name not in env:
-            raise _not_allowed(name, mode, node[1])
+            raise _not_allowed(name, where, node[1])
         return env[name]
     if kind in ("sum", "prod"):
-        vals = (_eval_commutative(t, consts, env, mode, degrees) for t in node[2])
+        vals = (_eval_commutative(t, consts, env, where, degrees) for t in node[2])
         acc = next(vals)
         for v in vals:
             if kind == "sum":
@@ -214,13 +215,13 @@ def _eval_commutative(node, consts, env, mode, degrees):
                 acc = acc * v
         return acc
     if kind == "pow":
-        base, e = _eval_commutative(node[2], consts, env, mode, degrees), node[3]
+        base, e = _eval_commutative(node[2], consts, env, where, degrees), node[3]
         _within_limit((d * e for d in degrees(base)), node[1])
         if node[2][0] == "sym" and not isinstance(base, FieldElement):
             return _monomial(base, e)
         return base**e
     if kind == "neg":
-        return -_eval_commutative(node[2], consts, env, mode, degrees)
+        return -_eval_commutative(node[2], consts, env, where, degrees)
     raise AssertionError(f"unhandled node {kind}")
 
 
@@ -246,7 +247,7 @@ def _check_twisted(ast):
             if all(name != "tau" for _, _, name in syms):
                 for _, pos, name in syms:
                     if name != "T":
-                        raise _not_allowed(name, "twisted", pos)
+                        raise _not_allowed(name, "in twisted mode", pos)
                 continue
             if idx != len(factors) - 1:
                 raise ParseError("tau power must be the trailing factor of its term", fct[1])
@@ -270,13 +271,13 @@ def parse(text: str, mode: str, field: FiniteField):
     """
     if mode not in _MODE_SYMBOLS:
         raise ValueError(f"unknown parse mode {mode!r}")
-    ast = _Parser(text).parse()
+    ast, where = _Parser(text).parse(), f"in {mode} mode"
     from ._dense import Poly
 
     if mode in ("t_poly", "x_poly"):
         (var,) = _MODE_SYMBOLS[mode]
         return _eval_commutative(
-            ast, lambda n: Poly.constant(field, field(n)), {var: Poly.x(field)}, mode,
+            ast, lambda n: Poly.constant(field, field(n)), {var: Poly.x(field)}, where,
             lambda v: (v.degree, 0),
         )
     from .twisted import TwistedPoly, YPoly
@@ -288,7 +289,7 @@ def parse(text: str, mode: str, field: FiniteField):
         ring, var = YPoly, "y"
     env = {"T": ring.constant(field, Poly.x(field)), var: ring.x(field)}
     return _eval_commutative(
-        ast, lambda n: ring.constant(field, Poly.constant(field, field(n))), env, mode,
+        ast, lambda n: ring.constant(field, Poly.constant(field, field(n))), env, where,
         _over_t_degrees,
     )
 
@@ -303,10 +304,14 @@ def parse_element(text: str, field: FiniteField) -> FieldElement:
     """Parse an expression in x as an element of the given field.
 
     x stands for the field generator; integers embed via the prime subfield.
+    A prime field has no generator, and its elements are integers alone.
     """
     ast = _Parser(text).parse()
-    env = {"x": field.gen} if field.m > 1 else {}
-    return _eval_commutative(ast, field, env, "x_poly", lambda v: (0, 0))
+    if field.m > 1:
+        env, where = {"x": field.gen}, "in x_poly mode"
+    else:
+        env, where = {}, f"over {field!r}: a prime field has no generator x, only integers"
+    return _eval_commutative(ast, field, env, where, lambda v: (0, 0))
 
 
 def render_tpoly(poly: Poly, var: str = "T") -> str:

@@ -36,7 +36,7 @@ from . import _Record
 from ._dense import Poly, _derivative, _horner, _mk, _monic
 from .exprs import render_tpoly
 from .fields import TABLE_LIMIT, FiniteField, _prime_divisors, _rebuild_field, extension_field, prime_field
-from .poly import _ddf, _gcd, _random_irreducibles, is_irreducible
+from .poly import _ddf, _gcd, _random_irreducibles, check_factor, is_irreducible
 from .twisted import YPoly
 
 
@@ -64,7 +64,6 @@ class SideResult(_Record):
 
 class PrimeVerdict(_Record):
     __slots__ = ("prime", "type_f", "type_g", "bad_reason")
-    _defaults = {"bad_reason": None}
 
     @property
     def is_bad(self) -> bool:
@@ -102,6 +101,7 @@ PrimeSelection = Union[Exhaustive, Sampled]
 def _check_prime(f: YPoly, P: Poly):
     if not P.is_monic:
         raise ValueError("P must be monic")
+    check_factor(P.field.p, P.field.m, P.degree)  # Ben-Or's test of P costs a factorization's DDF
     if not is_irreducible(P):
         raise ValueError("P must be irreducible")
     if P.field is not f.field:

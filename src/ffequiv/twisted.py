@@ -50,12 +50,12 @@ class _OverFqT(_Dense):
     _czero = Poly.zero
     _cone = Poly.one
 
-    def __init__(self, field: FiniteField, coeffs: Iterable[Poly] = ()):
+    @staticmethod
+    def _entries(field: FiniteField, coeffs: Iterable[Poly]) -> list:
         cs = list(coeffs)
-        for c in cs:
-            if c.field != field:
-                raise ValueError("coefficient from a different field")
-        super().__init__(field, cs)
+        if any(c.field != field for c in cs):
+            raise ValueError("coefficient from a different field")
+        return cs
 
 
 class TwistedPoly(_OverFqT):

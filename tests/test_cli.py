@@ -135,6 +135,23 @@ def test_factor_refuses_work_that_cannot_finish(capsys, monkeypatch):
     assert err.startswith("error: factoring a polynomial of degree 1626 over GF(2)")
 
 
+def test_factor_refuses_a_prime_above_the_work_limit(capsys, monkeypatch):
+    # Ben-Or's test of P is a DDF prefix, bounded as a factorization of
+    # degree deg P: at degree 2281 over F_2 it ran for 52 s
+    def refuse(*args):
+        raise AssertionError("irreducibility tested")
+
+    monkeypatch.setattr(splitting, "is_irreducible", refuse)
+    rc, out, err = run(capsys, ["factor", "--p", "2", "--prime", "T^2281+T^715+1", "--poly", "y+1"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: factoring a polynomial of degree 2281 over GF(2) is above the work")
+    assert err.count("\n") == 1
+    # a prime of degree 1279 is admitted and tested
+    with pytest.raises(AssertionError, match="irreducibility tested"):
+        main(["factor", "--p", "2", "--prime", "T^1279+T^216+1", "--poly", "y+1"])
+
+
 def test_factor_split_prime(capsys):
     rc, out, _ = run(
         capsys, ["factor", "--p", "3", "--prime", "T^2 + 1", "--poly", "y^8 + T*y^2 + T"]
@@ -383,7 +400,7 @@ def _refuse_extension_field(*args, **kwargs):
 
 
 def test_gassmann_refuses_before_the_modulus(capsys, monkeypatch):
-    # Rabin's test of a degree-4000 modulus would come first and take seconds
+    # Ben-Or's test of a degree-4000 modulus would come first and take seconds
     monkeypatch.setattr(fields, "extension_field", _refuse_extension_field)
     argv = ["gassmann", "--p", "2", "--ext-modulus", "x^4000+x+1", "--construction", "stabilizers"]
     for n, message in [
@@ -435,6 +452,17 @@ def test_gassmann_example1_honours_the_cap(capsys):
     assert out.endswith("gassmann=true nontrivial=true index=8\n")
 
 
+def test_gassmann_scalar_generator_over_a_prime_field(capsys):
+    # x names the generator of an extension field, and GF(3) has none
+    rc, out, err = run(capsys, ["gassmann", "--p", "3", "--n", "2", "--construction", "stabilizers",
+                                "--scalar-subgroup", "x"])
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: symbol 'x' is not allowed over GF(3): a prime field has no generator x, "
+        "only integers (position 0)\n"
+    )
+
+
 def test_gassmann_bad_construction(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gassmann", "--p", "3", "--n", "2", "--construction", "mystery"])
@@ -467,7 +495,7 @@ def test_primes_extension_field(capsys):
 
 
 def test_primes_sieve_bound_before_the_modulus(capsys, monkeypatch):
-    # Rabin's test of a degree-999999 modulus would come first and not end
+    # Ben-Or's test of a degree-999999 modulus would come first and not end
     monkeypatch.setattr(fields, "extension_field", _refuse_extension_field)
     rc, out, err = run(capsys, ["primes", "--p", "2", "--ext-modulus", "x^999999+1", "--degree", "1"])
     assert rc == 2

@@ -143,6 +143,19 @@ def test_parse_modulus_and_element():
     assert a == f9.gen + f9(2)
     assert parse_element("2", f9) == f9(2)
     assert parse_element("x^2", f9) == f9.gen * f9.gen
+    with pytest.raises(ParseError, match=r"symbol 'T' is not allowed in x_poly mode \(position 4\)"):
+        parse_element("x + T", f9)
+
+
+def test_parse_element_over_a_prime_field_names_the_field():
+    # x is the generator of an extension field; a prime field has none
+    assert parse_element("2 + 3", F3) == F3(2)
+    with pytest.raises(ParseError) as exc:
+        parse_element("1 + x", F3)
+    assert str(exc.value) == (
+        "symbol 'x' is not allowed over GF(3): a prime field has no generator x, "
+        "only integers (position 4)"
+    )
 
 
 def test_render_tpoly():

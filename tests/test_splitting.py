@@ -437,15 +437,14 @@ def test_orbit_route_agrees_with_residue_fields(name):
 
 
 def test_records_are_frozen_values():
-    v = splitting.PrimeVerdict(P(F3, 1, 1), SplitType((6, 2)), SplitType([2, 6]))
+    v = splitting.PrimeVerdict(P(F3, 1, 1), SplitType((6, 2)), SplitType([2, 6]), None)
     assert v.type_f.degrees == (2, 6) and v.bad_reason is None
     assert v == splitting.PrimeVerdict(prime=P(F3, 1, 1), type_g=SplitType((6, 2)),
                                        type_f=SplitType((2, 6)), bad_reason=None)
-    assert hash(v) == hash(splitting.PrimeVerdict(P(F3, 1, 1), v.type_f, v.type_g))
+    assert hash(v) == hash(splitting.PrimeVerdict(P(F3, 1, 1), v.type_f, v.type_g, None))
     assert v != splitting.PrimeVerdict(P(F3, 1, 1), v.type_f, v.type_g, "repeated_factor_f")
     assert SplitType((1,)) != splitting.Exhaustive((1,))  # same values, other class
     assert pickle.loads(pickle.dumps(v)) == v
-    assert v == splitting.PrimeVerdict(P(F3, 1, 1), v.type_f, v.type_g, None)  # the trailing default
     assert repr(Sampled(3, 4)) == "Sampled(count=3, degree=4)"
     with pytest.raises(AttributeError):
         v.bad_reason = "x"
@@ -453,6 +452,8 @@ def test_records_are_frozen_values():
         del v.prime
     with pytest.raises(TypeError):
         Sampled(3)
+    with pytest.raises(TypeError):
+        splitting.PrimeVerdict(P(F3, 1, 1), v.type_f, v.type_g)  # every field is given
     with pytest.raises(TypeError):
         Sampled(3, 4, count=3)
     with pytest.raises(TypeError):
