@@ -14,7 +14,6 @@ polynomials never compiles them.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterable, Sequence
 
 from .fields import FieldElement, FiniteField
@@ -281,17 +280,6 @@ def _product(addmul, a: Sequence, b: Sequence, zero=0, twist=None) -> list:
     return out
 
 
-def _int_convolve(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Exact convolution of small nonnegative sequences via one big-integer
-    multiply; each 32-bit slot holds one coefficient, carry-free by the
-    caller's bound check."""
-    n = len(a) + len(b) - 1
-    pa = int.from_bytes(b"".join(c.to_bytes(4, "little") for c in a), "little")
-    pb = int.from_bytes(b"".join(c.to_bytes(4, "little") for c in b), "little")
-    raw = (pa * pb).to_bytes(4 * (n + 1), "little")
-    return [c % p for c in struct.unpack_from(f"<{n}I", raw)]
-
-
 # ---------------------------------------------------------------------------
 # the list core that Poly's methods call: coefficient index lists over one
 # field, low degree first and trimmed (the zero polynomial is []); the
@@ -306,8 +294,7 @@ def _trim(cs: list) -> list:
 
 def _mul(K: FiniteField, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """a * b, ahead of the shared loop (handed the sparser factor first) with
-    two shortcuts: squaring is additive in characteristic 2, and a large
-    product over a prime field is one big-integer multiply."""
+    one shortcut: squaring is additive in characteristic 2."""
     if not a or not b:
         return []
     if a is b and K.p == 2:
@@ -315,10 +302,7 @@ def _mul(K: FiniteField, a: Sequence[int], b: Sequence[int]) -> list[int]:
         out = [0] * (2 * len(a) - 1)
         out[::2] = [mul(c, c) for c in a]
         return out
-    na, nb = len(a) - a.count(0), len(b) - b.count(0)
-    if K.m == 1 and na * nb > 4096 and (K.p - 1) ** 2 * min(len(a), len(b)) < (1 << 32):
-        return _int_convolve(a, b, K.p)
-    if nb < na:
+    if len(b) - b.count(0) < len(a) - a.count(0):
         a, b = b, a
     return _product(K.addmul, a, b)
 

@@ -127,7 +127,7 @@ def cmd_factor(args) -> int:
     # the work bound, checked before the residue field is built
     check_factor(args.p, P.degree, f.degree)
     red = reduce_mod_prime(f, P)
-    fac = factor(red, seed=args.seed)
+    fac = factor(red)
     if fac.unit != red.field.one:
         print(f"unit={render_residue_poly(Poly.constant(red.field, fac.unit))}")
     for h, mult in fac.factors:

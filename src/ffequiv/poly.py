@@ -17,9 +17,11 @@ for each factor it returns.  :mod:`ffequiv.splitting` calls ``_gcd`` and
 ``_ddf`` directly, so ``split-check`` and ``factor`` share them.  Frobenius
 is m = log_p q steps of the additive p-th power map (von zur Gathen &
 Shoup, "Computing Frobenius maps and factoring polynomials", Comput.
-Complexity 2, 1992); squarefree and equal-degree splitting are Musser's and
-Cantor-Zassenhaus's (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-14.3-14.4).
+Complexity 2, 1992).  Squarefree splitting is Musser's, and equal-degree
+splitting takes traces of fixed candidates (Berlekamp, "Factoring
+polynomials over large finite fields", Math. Comp. 24, 1970; von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 14): ``factor`` draws no
+random numbers.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ def _gcd(K: FiniteField, a: list[int], b: list[int]) -> list[int]:
     return _monic(K, a)
 
 
-def _minus_x(K: FiniteField, h: list[int]) -> list[int]:
-    out = h + [0] * (2 - len(h))
-    out[1] = K.sub(out[1], 1)
+def _minus_y(K: FiniteField, h: list[int], i: int) -> list[int]:
+    out = h + [0] * (i + 1 - len(h))
+    out[i] = K.sub(out[i], 1)
     return _trim(out)
 
 
@@ -82,6 +84,19 @@ def _pth_rows(K: FiniteField, f: list[int]) -> list[list[int]]:
     return rows
 
 
+def _pth_power(K: FiniteField, h: list[int], f: list[int], pth: list | None, steps: int) -> list[int]:
+    """h^(p^steps) mod f for a reduced h, by steps of the p-th power map: a
+    squaring in characteristic 2 (pth None), else sum_i h_i^p * y^(p*i) on
+    the rows pth of ``_pth_rows(K, f)``."""
+    for _ in range(steps):
+        if pth is None:
+            h = _rem(K, _mul(K, h, h), f)
+        else:
+            h = h if K.m == 1 else [K.pow(c, K.p) for c in h]
+            h = _trim(_combine(K.addmul, h, pth, len(f) - 1))
+    return h
+
+
 def _frobenius_powers(K: FiniteField, f: list[int]) -> Generator[list[int], list[int] | None, None]:
     """y^q, y^(q^2), ... mod the monic f, for a caller that takes at most
     deg f // 2 of them; it may ``send`` a monic divisor of f in place of
@@ -96,21 +111,11 @@ def _frobenius_powers(K: FiniteField, f: list[int]) -> Generator[list[int], list
     over twice the cheaper route, and only if the powers still wanted can
     repay them.  Over a prime field the p-th power rows are those rows.
     """
-    p, m, power, addmul = K.p, K.m, K.pow, K.addmul
+    p, m, addmul = K.p, K.m, K.addmul
     pth = None if p == 2 else _pth_rows(K, f)
     rows = pth if m == 1 else None
-
-    def frob(h):
-        for _ in range(m):
-            if pth is None:
-                h = _rem(K, _mul(K, h, h), f)
-            else:
-                h = h if m == 1 else [power(c, p) for c in h]
-                h = _trim(_combine(addmul, h, pth, len(f) - 1))
-        return h
-
     cost = m if p == 2 else m / 2  # products mod f in one step
-    h = yq = frob(_rem(K, [0, 1], f))
+    h = yq = _pth_power(K, _rem(K, [0, 1], f), f, pth, m)
     spent = cost
     taken = 1
     while True:
@@ -129,7 +134,7 @@ def _frobenius_powers(K: FiniteField, f: list[int]) -> Generator[list[int], list
             for _ in range(n - 2):
                 rows.append(_rem(K, _mul(K, rows[-1], yq), f))
         if rows is None:
-            h = frob(h)
+            h = _pth_power(K, h, f, pth, m)
             spent += cost
         else:
             h = _trim(_combine(addmul, h, rows, n))
@@ -145,7 +150,7 @@ def _ddf(K: FiniteField, f: list[int]) -> Iterator[tuple[int, list[int]]]:
     d = 0
     while len(f) > 2 * (d + 1):
         d += 1
-        g = _gcd(K, f, _minus_x(K, powers.send(rest)))
+        g = _gcd(K, f, _minus_y(K, powers.send(rest), 1))
         if len(g) > 1:
             yield d, g
             f = rest = K.divrem(f, g)[0]
@@ -207,10 +212,6 @@ class Factorization(_Record):
         return iter(self.factors)
 
 
-def _canon_key(p: Poly):
-    return (p.degree, p.coeffs[::-1])
-
-
 def _pth_root(K: FiniteField, g: list[int]) -> list[int]:
     """p-th root of a polynomial with zero derivative (finite fields are
     perfect, so the root always exists)."""
@@ -250,49 +251,61 @@ def _squarefree_parts(K: FiniteField, f: list[int]) -> list[tuple[int, list[int]
     return sorted(out.items())
 
 
-def _equal_degree(K: FiniteField, f: list[int], d: int, rng: random.Random) -> list[list[int]]:
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d
-    irreducibles; trace-map variant in characteristic 2."""
-    n, q = len(f) - 1, K.q
-    if n == d:
+def _trace(K: FiniteField, b: list[int], f: list[int], terms: int, steps: int, pth) -> list[int]:
+    """sum_{i < terms} b^(e^i) mod f for a reduced b, e = p^steps, pth as in
+    ``_pth_power``."""
+    t, h = b + [0] * (len(f) - 1 - len(b)), b
+    for _ in range(terms - 1):
+        h = _pth_power(K, h, f, pth, steps)
+        K.addmul(t, 1, h, 0)
+    return _trim(t)
+
+
+def _equal_degree(K: FiniteField, f: list[int], d: int, j=1, k=0, u=None) -> list[list[int]]:
+    """Berlekamp's trace split of a monic squarefree product of degree-d
+    irreducibles.  In R = F_q[y]/(f), a product of copies of F_{q^d}, the
+    traces t to F_p of the F_p-basis x^k * y^j separate every two factors;
+    they are tried in turn from (j, k), skipping j = 0 mod p (a p-th power
+    of a trace before it) and a constant t.  t = Tr_{q/p}(x^k * u) for
+    u = Tr_{q^d/q}(y^j), so a constant u skips every k.  gcd(f, t) splits f
+    in characteristic 2; for odd p, gcd(f, (t + c)^((p-1)/2) - 1) does for
+    some c < p, tried from 0 up: without GRH no bound below p on the tries
+    is proven.  Both parts go on from (j, k), each with u mod itself."""
+    if len(f) - 1 == d:
         return [f]
+    p, m, mul = K.p, K.m, K.mul
+    pth = _pth_rows(K, f) if p > 2 and m * d > 1 else None
     while True:
-        u = _trim([rng.randrange(q) for _ in range(n)])
-        if len(u) < 2:
-            continue
-        # u need not be coprime to f: a u sharing a factor with f is rare,
-        # and the trace (the power, for odd p) splits f through gcd(v, f)
-        if K.p == 2:
-            # absolute trace of u in F_{q^d} = F_2[x]/..., summed Frobenius
-            # orbit; u and each term are below deg f, so their sum is too
-            v = u + [0] * (n - len(u))
-            acc = u
-            for _ in range(K.m * d - 1):
-                acc = _rem(K, _mul(K, acc, acc), f)
-                K.addmul(v, 1, acc, 0)
-            _trim(v)
-        else:
-            v = _pow_mod(K, u, (q**d - 1) // 2, f)
-            v = _trim([K.sub(v[0] if v else 0, 1), *v[1:]])
-        if not v:
-            continue
-        g = _gcd(K, v, f)
-        if 1 < len(g) < len(f):
-            return _equal_degree(K, g, d, rng) + _equal_degree(K, K.divrem(f, g)[0], d, rng)
+        u = _trace(K, _rem(K, [0] * j + [1], f), f, d, m, pth) if u is None else u
+        t = _trace(K, [mul(c, p**k) for c in u], f, m, 1, pth) if len(u) > 1 else []
+        if len(t) > 1:
+            break
+        k += 1
+        if k == m or len(u) < 2:
+            j, k, u = j + 1 + ((j + 1) % p == 0), 0, None
+    if p == 2:
+        g = _gcd(K, f, t)
+    else:
+        for c in range(p):
+            v = _minus_y(K, _pow_mod(K, [K.add(t[0], c), *t[1:]], (p - 1) // 2, f), 0)
+            if len(v) > 1 and len(g := _gcd(K, f, v)) > 1:
+                break
+    h = K.divrem(f, g)[0]
+    return _equal_degree(K, g, d, j, k, _rem(K, u, g)) + _equal_degree(K, h, d, j, k, _rem(K, u, h))
 
 
-def factor(f: Poly, seed: int = 0) -> Factorization:
-    """Complete factorization; deterministic for a given (f, seed)."""
+def factor(f: Poly) -> Factorization:
+    """Complete factorization: Musser's squarefree split, distinct-degree
+    split and Berlekamp's trace split, none of them random."""
     if f.degree < 1:
         raise ValueError("cannot factor a constant polynomial")
     K = f.field
     check_factor(K.p, K.m, f.degree)
-    rng = random.Random(seed)
     found = [(_mk(K, h), mult)
              for mult, part in _squarefree_parts(K, _monic(K, list(f.coeffs)))
              for d, prod in _ddf(K, part)
-             for h in _equal_degree(K, prod, d, rng)]
-    found.sort(key=lambda fe: _canon_key(fe[0]))
+             for h in _equal_degree(K, prod, d)]
+    found.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs[::-1]))
     return Factorization(f.leading, tuple(found))
 
 

@@ -134,7 +134,7 @@ def test_criterion_4_factorization_goldens():
     p2 = parse("T^2 + 1", "t_poly", field)
 
     def factors(h, P):
-        fac = factor(reduce_mod_prime(h, P), seed=0)
+        fac = factor(reduce_mod_prime(h, P))
         assert fac.max_multiplicity == 1, "unexpected repeated factor"
         return [render_residue_poly(q) for q, _ in fac.factors]
 
@@ -295,7 +295,8 @@ def _check_reassembly():
         rng = random.Random(1000 + p)
         for _ in range(500):
             f = _random_poly(rng, field, 8, nonconstant=True)
-            fac = factor(f, seed=rng.randrange(2**30))
+            rng.randrange(2**30)  # a draw kept so that the inputs after it stay the same
+            fac = factor(f)
             assert fac.expand() == f, f"reassembly failed for {f!r}"
             assert fac.unit == f.leading
 
@@ -334,7 +335,7 @@ def _check_oracle_agreement():
                     k //= field.q
                 coeffs.append(field.one)
                 f = Poly(field, coeffs)
-                fac = factor(f, seed=0)
+                fac = factor(f)
                 assert dict(fac.factors) == _trial_division(f), f"disagree on {f!r}"
                 checked += 1
     return checked

@@ -4,15 +4,19 @@ Characteristic 2: the stripped (T^4 + T + 1)-torsion polynomial of
 T -> tau^2 + tau + T (degree 255), factored at a prime of F_2[T] of degree 2,
 whose residue field is F_4, and at one of degree 8, whose residue field is
 F_256.  These two were recorded while division still ran on the
-coefficient-by-coefficient loop, so they pin the byte-packed division, and
-equal-degree splitting there runs on the trace map.
+coefficient-by-coefficient loop, so they pin the byte-packed division.
 
 Characteristic 3: the stripped (T^2 + 1)-torsion polynomial of
 T -> tau^2 + T*tau + T (degree 80), at T (ten factors of degree 8) and at a
 prime of degree 3, whose residue field is F_27 (equal-degree splitting in
 degrees 1 and 4 over it); and a polynomial in y^3 whose factors are all
-cubed, which takes p-th roots.  Splitting there runs on the power map.  These
-three were recorded while `factor` still ran on Poly objects.
+cubed, which takes p-th roots.  These three were recorded while `factor`
+still ran on Poly objects.
+
+Odd characteristic, recorded while equal-degree splitting was still
+Cantor-Zassenhaus's: y^343 - y over F_7 (every monic irreducible of degree
+1 or 3), and six linear factors, two of them squared, over F_1000000007,
+where the trace split tries the shifts c = 0, 1, ... of F_p in turn.
 """
 
 from pathlib import Path
@@ -39,6 +43,8 @@ CASES = [
     ("f3_torsion", "3", "T", F3_TORSION),
     ("f27_torsion", "3", "T^3 + 2*T^2 + 2*T + 2", F3_TORSION),
     ("f3_cubes", "3", "T + 1", "y^27 + T*y^9 + T^2*y^3 + 2"),
+    ("f7_frobenius", "7", "T + 3", "y^343 + 6*y"),
+    ("p1e9_linears", "1000000007", "T + 1", "(y + 1)*(y + 2)*(y + 3)*(y + T)*(y^2 + T)*(y^2 + 5)"),
 ]
 
 
@@ -81,10 +87,10 @@ def test_factor_runs_on_the_list_core(monkeypatch, name, p, prime, source):
     """From the coefficients of its input to the factors it wraps, `factor`
     calls no Poly operator and neither poly_gcd nor pow_mod."""
     red = _reduced(p, prime, source)
-    want = poly.factor(red, seed=0)
+    want = poly.factor(red)
     for op in ("__divmod__", "__mul__", "__rmul__", "__add__", "__sub__", "__neg__", "__pow__",
                "derivative", "monic"):
         monkeypatch.setattr(Poly, op, _refuse)
     monkeypatch.setattr(poly, "poly_gcd", _refuse)
     monkeypatch.setattr(poly, "pow_mod", _refuse)
-    assert poly.factor(red, seed=0) == want
+    assert poly.factor(red) == want

@@ -137,7 +137,7 @@ def test_divmod_kernel_checked_by_products(field):
 
 
 def test_big_multiply_matches_convolution():
-    # the packed-integer product path must agree with a direct convolution
+    # long prime-field products agree with a convolution written out here
     rng = random.Random(11)
     for field in (F2, F3, prime_field(5)):
         p = field.p
@@ -233,15 +233,18 @@ def test_is_irreducible_examples():
 
 
 def test_factor_small_examples():
-    fac = factor(P(F3, 2, 0, 2, 0, 0, 0, 0, 0, 1), seed=1)
+    fac = factor(P(F3, 2, 0, 2, 0, 0, 0, 0, 0, 1))
     assert len(fac.factors) == 1
     assert fac.factors[0][1] == 1
     assert fac.factors[0][0].degree == 8
-    fac = factor(P(F2, 0, 0, 1), seed=1)  # y^2 = y * y
+    fac = factor(P(F2, 0, 0, 1))  # y^2 = y * y
     assert fac.factors == ((Poly.x(F2), 2),)
+    # y^2 + y over F_4: Tr(y) is 0 on both factors, so x*y splits them
+    fac = factor(P(F4, 0, 1, 1))
+    assert fac.factors == ((Poly.x(F4), 1), (P(F4, 1, 1), 1))
     # unit handling: 2*(T+1)^2 over F_3
     f = P(F3, 1, 1) * P(F3, 1, 1) * P(F3, 2)
-    fac = factor(f, seed=3)
+    fac = factor(f)
     assert fac.unit == F3(2)
     assert fac.factors == ((P(F3, 1, 1), 2),)
     with pytest.raises(ValueError):
@@ -281,7 +284,7 @@ def test_factor_agrees_with_trial_division_exhaustively():
                     t //= q
                 f = Poly(field, idxs + [1])
                 unit, pairs = _oracle_factor(f)
-                fac = factor(f, seed=packed)
+                fac = factor(f)
                 assert fac.unit == unit
                 assert set(fac.factors) == set(pairs), f"mismatch for {f!r}"
 
@@ -293,7 +296,7 @@ def test_factor_reassembly_random():
             deg = rng.randrange(1, 13)
             idxs = [rng.randrange(field.q) for _ in range(deg)] + [rng.randrange(1, field.q)]
             f = Poly(field, idxs)
-            fac = factor(f, seed=trial)
+            fac = factor(f)
             assert fac.expand() == f
             assert sum(p_.degree * e for p_, e in fac.factors) == f.degree
             for p_, _ in fac.factors:
@@ -323,10 +326,39 @@ def test_factor_refuses_work_that_cannot_finish(monkeypatch):
     assert poly.FACTOR_WORK_LIMIT == 1 << 32
 
 
-def test_factor_deterministic_given_seed():
-    rng = random.Random(4)
-    f = Poly(F9, [rng.randrange(9) for _ in range(10)] + [1])
-    assert factor(f, seed=123) == factor(f, seed=123)
+def _product_and_factors(fs):
+    """The product of distinct monic irreducibles and its sorted factors."""
+    f = fs[0]
+    for h in fs[1:]:
+        f = f * h
+    return f, tuple((h, 1) for h in sorted(fs, key=lambda h: (h.degree, h.coeffs[::-1])))
+
+
+def test_factor_draws_no_random_numbers(monkeypatch):
+    # the equal-degree split tries its candidates in a fixed order
+    def refuse(*args):
+        raise AssertionError("factor drew random numbers")
+
+    F1e9 = prime_field(1000000007)
+    cases = [monic_irreducibles(F2, 3), monic_irreducibles(F4, 1), monic_irreducibles(F3, 2),
+             monic_irreducibles(F9, 2)[:6], [P(F1e9, c, 1) for c in (1, 5, 12345, 10**9)]]
+    monkeypatch.setattr(random, "Random", refuse)
+    for fs in cases:
+        f, want = _product_and_factors(fs)
+        assert factor(f).factors == want
+
+
+def test_factor_over_a_large_prime_field_takes_few_gcds(monkeypatch):
+    # about one gcd a split, trying c = 0, 1, ...: listing every c in F_p
+    # would take about p of them
+    F1e9 = prime_field(1000000007)
+    f, want = _product_and_factors(
+        [P(F1e9, c, 1) for c in (1, 2, 3, 7, 1000, 123456789, 10**9, 10**9 + 6)])
+    calls = []
+    gcd = poly._gcd
+    monkeypatch.setattr(poly, "_gcd", lambda *args: calls.append(1) or gcd(*args))
+    assert factor(f).factors == want
+    assert len(calls) <= 16, len(calls)
 
 
 def _necklace(q, d):
@@ -509,6 +541,6 @@ def test_ddf_first_degree_is_least_factor_degree():
 
 def test_factorization_degrees():
     f = P(F3, 1, 1) * P(F3, 1, 1) * P(F3, 1, 0, 1)
-    fac = factor(f, seed=0)
+    fac = factor(f)
     assert fac.degrees() == [1, 1, 2]
     assert fac.max_multiplicity == 2
