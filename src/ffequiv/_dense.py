@@ -105,7 +105,7 @@ class _Dense:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.field == other.field
+        return self.coeffs == other.coeffs and self.field is other.field
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
@@ -150,7 +150,7 @@ class _Dense:
 
     def scale(self, c):
         """Coefficient-wise product with the scalar c."""
-        if c.field != self.field:
+        if c.field is not self.field:
             raise ValueError("scalar from a different field")
         return self._scale(self._entries(self.field, (c,))[0])
 
@@ -261,7 +261,7 @@ class Poly(_Dense):
 
     def __call__(self, x: FieldElement) -> FieldElement:
         f = self.field
-        if x.field != f:
+        if x.field is not f:
             raise ValueError("evaluation point from a different field")
         return f.from_index(_horner(f, self.coeffs, x.index))
 

@@ -314,11 +314,11 @@ def parse_element(text: str, field: FiniteField) -> FieldElement:
     return _eval_commutative(ast, field, env, where, lambda v: (0, 0))
 
 
-def render_tpoly(poly: Poly, var: str = "T") -> str:
+def render_tpoly(poly: Poly) -> str:
     """Canonical rendering of a polynomial over a prime field."""
     if poly.field.m != 1:
         raise ValueError("render_tpoly requires a prime base field")
-    parts = _int_monomials(poly.coeffs, var)
+    parts = _int_monomials(poly.coeffs, "T")
     return " + ".join(parts) if parts else "0"
 
 
@@ -363,7 +363,7 @@ def render_twisted(poly: TwistedPoly) -> str:
     return _render_over_t(poly, "tau", "render_twisted")
 
 
-def render_residue_poly(poly: Poly, var: str = "y") -> str:
+def render_residue_poly(poly: Poly) -> str:
     """Render a polynomial whose coefficients live in a residue field F_p[T]/(P).
 
     Field elements are written as polynomials in T; a degree-1 modulus
@@ -372,7 +372,7 @@ def render_residue_poly(poly: Poly, var: str = "y") -> str:
     f = poly.field
     return _graded_render(
         poly.coeffs,
-        var,
+        "y",
         lambda c: _int_monomials(f.unpack(c), "T"),
         lambda c: c == 1,
     )

@@ -1,9 +1,9 @@
 """Exact arithmetic in finite fields F_p and F_{p^m} = F_p[x]/(M(x)).
 
 Field descriptors are immutable and interned while they are in use:
-constructing a field that is still alive returns the same object, so
-elements built independently interoperate and identity checks are cheap,
-and a field nothing holds any more is freed.
+``FiniteField(p, modulus)`` returns the field for (p, modulus) that is
+still alive, if there is one, so the same field is the same object, fields
+compare and hash by identity, and a field nothing holds any more is freed.
 
 An element is encoded by its index sum(c_i * p^i) over the coefficients
 c_i of its residue mod M, so the constant k of the prime field is the index
@@ -96,25 +96,31 @@ _FIELD_CACHE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class FiniteField:
     """Descriptor for F_p (m == 1) or F_{p^m} = F_p[x]/(M(x)), M monic irreducible.
 
-    Do not instantiate directly; use :func:`prime_field` or
-    :func:`extension_field` so descriptors are validated and interned, for
-    as long as anything holds them (a dropped field is freed with its tables).
+    ``FiniteField(p, modulus)`` interns: while a field for (p, modulus) is
+    alive it returns that object, so the same field is the same object and
+    fields compare and hash by identity.  It trusts its arguments;
+    :func:`prime_field` and :func:`extension_field` validate them first.
     ``pack`` and ``unpack`` convert between an index and its m base-p
     digits; they and the int kernels are attributes.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_hash", "pack", "unpack",
+    __slots__ = ("p", "m", "q", "modulus", "pack", "unpack",
                  "add", "sub", "neg", "mul", "inv", "pow", "addmul", "divrem", "__weakref__")
 
-    def __init__(self, p: int, modulus: tuple[int, ...] | None):
+    def __new__(cls, p: int, modulus: tuple[int, ...] | None):
+        self = _FIELD_CACHE.get((p, modulus))
+        if self is not None:
+            return self
+        self = super().__new__(cls)
         self.p = p
         self.modulus = modulus
         self.m = 1 if modulus is None else len(modulus) - 1
         self.q = p**self.m
-        self._hash = hash((p, modulus))
         self.pack, self.unpack = _codec(p, self.m)
         for key, fn in _kernels(self).items():
             setattr(self, key, fn)
+        _FIELD_CACHE[p, modulus] = self
+        return self
 
     @property
     def zero(self) -> FieldElement:
@@ -124,23 +130,13 @@ class FiniteField:
     def one(self) -> FieldElement:
         return FieldElement(self, 1)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FiniteField):
-            return NotImplemented
-        return self.p == other.p and self.modulus == other.modulus
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         if self.m == 1:
             return f"GF({self.p})"
         return f"GF({self.q})"
 
     def __reduce__(self):
-        return (_rebuild_field, (self.p, self.modulus))
+        return (FiniteField, (self.p, self.modulus))
 
     def __call__(self, value: int) -> FieldElement:
         """Embed an integer as a constant: value mod p."""
@@ -161,7 +157,7 @@ class FiniteField:
         an index 0 <= value < q: the one check of the constructors of
         polynomials and matrices.  Anything else raises ValueError."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self:
                 raise ValueError(f"{value!r} is from a different field than {self!r}")
             return value.index
         if not isinstance(value, int):
@@ -183,7 +179,7 @@ class FiniteField:
         return self.from_index(self.p)
 
     def _require_same(self, other: "FiniteField"):
-        if self != other:
+        if self is not other:
             raise ValueError(f"field mismatch: {self!r} vs {other!r}")
 
 
@@ -328,20 +324,11 @@ def _packed_divrem(rows: list[bytes], inv):
     return divrem
 
 
-def _rebuild_field(p: int, modulus: tuple[int, ...] | None) -> FiniteField:
-    key = (p, modulus)
-    field = _FIELD_CACHE.get(key)
-    if field is None:
-        field = FiniteField(p, modulus)
-        _FIELD_CACHE[key] = field
-    return field
-
-
 def prime_field(p: int) -> FiniteField:
     """The prime field F_p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _rebuild_field(p, None)
+    return FiniteField(p, None)
 
 
 def _is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
@@ -377,7 +364,7 @@ def extension_field(p: int, modulus: Sequence[int] | None = None, degree: int | 
     if modulus is None:
         if degree < 2:
             raise ValueError("extension degree must be at least 2")
-        return _rebuild_field(p, _smallest_irreducible(p, degree))
+        return FiniteField(p, _smallest_irreducible(p, degree))
     mod = tuple(c % p for c in modulus)
     while mod and mod[-1] == 0:
         mod = mod[:-1]
@@ -387,7 +374,7 @@ def extension_field(p: int, modulus: Sequence[int] | None = None, degree: int | 
         raise ValueError("extension modulus must be monic")
     if not _is_irreducible(p, mod):
         raise ValueError("extension modulus is reducible over the prime field")
-    return _rebuild_field(p, mod)
+    return FiniteField(p, mod)
 
 
 def _int_monomials(coeffs: Sequence[int], var: str) -> list[str]:
@@ -431,7 +418,7 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.index == other.index and self.field == other.field
+        return self.index == other.index and self.field is other.field
 
     def __hash__(self):
         return hash(self.index)

@@ -35,7 +35,7 @@ from typing import Union
 from . import _Record
 from ._dense import Poly, _derivative, _horner, _mk, _monic
 from .exprs import render_tpoly
-from .fields import TABLE_LIMIT, FiniteField, _prime_divisors, _rebuild_field, extension_field, prime_field
+from .fields import TABLE_LIMIT, FiniteField, _prime_divisors, extension_field, prime_field
 from .poly import _ddf, _gcd, _random_irreducibles, check_factor, is_irreducible
 from .twisted import YPoly
 
@@ -166,7 +166,7 @@ def _root(P: Poly, table: _Table | None) -> tuple[FiniteField, int]:
     base = P.field
     if P.degree == 1:
         return base, base.neg(P.coeffs[0])
-    return _rebuild_field(base.p, P.coeffs), base.p
+    return FiniteField(base.p, P.coeffs), base.p
 
 
 def _evaluate(f: YPoly, K: FiniteField, alpha: int) -> Poly:

@@ -53,7 +53,7 @@ class _OverFqT(_Dense):
     @staticmethod
     def _entries(field: FiniteField, coeffs: Iterable[Poly]) -> list:
         cs = list(coeffs)
-        if any(c.field != field for c in cs):
+        if any(c.field is not field for c in cs):
             raise ValueError("coefficient from a different field")
         return cs
 

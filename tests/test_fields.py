@@ -107,6 +107,10 @@ def test_interning_and_equality():
     d = extension_field(10007, modulus=[6, 1, 0, 0, 1])
     assert d.q == 10007**4
     assert d is extension_field(10007, modulus=[6, 1, 0, 0, 1, 0])
+    # the constructor interns as well: the same field is the same object
+    assert FiniteField(3, (1, 0, 1)) is c
+    assert FiniteField(10007, (6, 1, 0, 0, 1)) is d
+    assert FiniteField(5, None) is prime_field(5)
 
 
 def test_interned_only_while_held():
@@ -446,19 +450,23 @@ def test_char2_inverse_above_table_limit():
 
 def test_fields_freed_by_refcount():
     # no kernel, element or table may tie a field into a reference cycle,
-    # so that a residue field's tables are freed as soon as its prime is done
+    # so that a residue field's tables are freed as soon as its prime is done.
+    # FiniteField returns a field that is still held, so every key is one no
+    # other test holds: each modulus is the reciprocal x^m M(1/x), made
+    # monic, of the canonical M of its degree, also irreducible
     kinds = {
         "prime": (7, None),
-        "tables": (2, CANONICAL_MODULI[(2, 10)]),
-        "bytes": (3, CANONICAL_MODULI[(3, 5)]),
-        "packed": (2, CANONICAL_MODULI[(2, 8)]),
-        "clmul": (2, extension_field(2, degree=17).modulus),
-        "kronecker": (3, extension_field(3, degree=11).modulus),
+        "tables": (2, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)),
+        "bytes": (3, (1, 0, 0, 0, 2, 1)),
+        "packed": (2, (1, 0, 0, 0, 1, 1, 0, 1, 1)),
+        "clmul": (2, (1,) + (0,) * 13 + (1, 0, 0, 1)),
+        "kronecker": (3, (2,) + (0,) * 8 + (2, 0, 1)),
     }
     gc.collect()
     gc.disable()
     try:
         for kind, (p, modulus) in kinds.items():
+            assert (p, modulus) not in _FIELD_CACHE, kind
             field = FiniteField(p, modulus)
             x = field.from_index(field.q - 1)
             assert (x * x.inverse() + field.zero).is_one
@@ -468,6 +476,7 @@ def test_fields_freed_by_refcount():
             assert field.divrem([2, 2, 2], [1, 1]) == ([0, 2], [2])
             del field, x
             assert gc.collect() == 0, kind
+            assert (p, modulus) not in _FIELD_CACHE, kind
     finally:
         gc.enable()
 

@@ -190,6 +190,8 @@ def test_determinism_and_jobs(pair1):
     assert a.render() == b.render()
     c = compare_split_types(f, g, Exhaustive(2), seed=3, jobs=2)
     assert c.render() == a.render()
+    # a prime pickled back from a worker lies over f's field, not a copy
+    assert all(v.prime.field is f.field for v in c.verdicts)
 
 
 def test_render_format():
@@ -297,6 +299,9 @@ def test_selection_errors(pair1):
     h = parse("y^2 + T", "y_poly", F5)
     with pytest.raises(ValueError, match="share a base field"):
         compare_split_types(f, h, Exhaustive(1))
+    # F_3 built by the constructor is the F_3 that f lies over
+    h = parse(G1_STR, "y_poly", fields.FiniteField(3, None))
+    assert compare_split_types(f, h, Exhaustive(1)).verdicts
     with pytest.raises(ValueError, match="more than the limit"):
         compare_split_types(f, g, Sampled(splitting.PRIME_COUNT_LIMIT + 1, 12))
     with pytest.raises(TypeError, match="unknown prime selection"):
